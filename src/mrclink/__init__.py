@@ -47,17 +47,16 @@ from .kb import (
     save_kb,
 )
 from .local import (
-    LocalLossWeights,
     LocalModel,
     LocalScores,
     NilJudgement,
     answer_loss,
     joint_local_loss,
-    load_local,
+    load_model,
     local_predict,
     nil_loss,
     nil_stage1,
-    save_local,
+    save_model,
     score_options,
     train_local,
 )
@@ -68,15 +67,12 @@ from .multiturn import (
     gate_fuse,
     global_loss,
     global_score_mention,
-    load_global,
     rank_mentions,
     run_multi_turn,
-    save_global,
     train_global,
 )
 from .pipeline import (
     EvalReport,
-    FusionConfig,
     LinkDecision,
     evaluate,
     link_corpus,

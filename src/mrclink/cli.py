@@ -12,8 +12,8 @@ from .config import RunConfig
 from .errors import InputFormatError, ModelConfigError
 from .kb import build_index, load_kb, save_kb
 from .corpus import load_corpus, save_corpus
-from .local import load_local, save_local, train_local
-from .multiturn import load_global, save_global, train_global
+from .local import LocalModel, load_model, save_model, train_local
+from .multiturn import GlobalModel, train_global
 from .pipeline import evaluate, link_corpus, load_decisions, save_decisions
 from .synth import SynthSpec, generate_synthetic_world
 
@@ -62,7 +62,7 @@ def _cmd_train_local(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb)
     corpus = load_corpus(args.corpus)
     model, logs = train_local(corpus, kb, cfg, log_path=args.log)
-    save_local(model, args.out)
+    save_model(model, args.out)
     if logs:
         last = logs[-1]
         print(
@@ -76,9 +76,9 @@ def _cmd_train_global(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     kb = load_kb(args.kb)
     corpus = load_corpus(args.corpus)
-    local_model = load_local(args.local_model)
+    local_model = load_model(args.local_model, LocalModel)
     model, logs = train_global(corpus, kb, local_model, cfg, log_path=args.log)
-    save_global(model, args.out)
+    save_model(model, args.out)
     if logs:
         last = logs[-1]
         print(
@@ -92,8 +92,8 @@ def _cmd_link(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     kb = load_kb(args.kb)
     corpus = load_corpus(args.corpus)
-    local_model = load_local(args.local_model)
-    global_model = None if args.global_model is None else load_global(args.global_model)
+    local_model = load_model(args.local_model, LocalModel)
+    global_model = None if args.global_model is None else load_model(args.global_model, GlobalModel)
     decisions = link_corpus(corpus, kb, local_model, global_model, cfg)
     save_decisions(decisions, args.out)
     n = sum(len(d) for d in decisions)

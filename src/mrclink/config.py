@@ -7,7 +7,7 @@ from typing import Mapping
 
 from .errors import InputFormatError
 
-GATE_MODES = ("gated", "concat", "gru_like")
+GATE_MODES = ("gated", "concat")
 HISTORY_MODES = ("flow", "last")
 
 

@@ -19,9 +19,6 @@ RESERVED_TOKENS = {PAD: PAD_ID, UNK: UNK_ID, CLS: CLS_ID, SEP: SEP_ID, MASK: MAS
 
 _SPECIAL_RE = re.compile(r"(\[PAD\]|\[UNK\]|\[CLS\]|\[SEP\]|\[MASK\])")
 
-# Segment tags inside an option sequence.
-SEG_DESCRIPTION, SEG_QUERY, SEG_OPTION = 0, 1, 2
-
 
 def split_tokens(text: str) -> list[str]:
     """Deterministic surface tokenization.
@@ -162,10 +159,9 @@ def update_query(
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Encoder input: token ids plus a per-token segment tag."""
+    """Encoder input: token ids."""
 
     tokens: tuple[int, ...]
-    segments: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -194,13 +190,7 @@ def assemble_option_sequence(
             f"query ({len(q)}) and option ({len(o)}) tokens cannot fit in max_len={max_len}"
         )
     d = d[:budget]
-    tokens = (CLS_ID, *d, SEP_ID, *q, SEP_ID, *o, SEP_ID)
-    segments = (
-        (SEG_DESCRIPTION,) * (len(d) + 2)
-        + (SEG_QUERY,) * (len(q) + 1)
-        + (SEG_OPTION,) * (len(o) + 1)
-    )
-    return TokenSequence(tokens=tokens, segments=segments)
+    return TokenSequence(tokens=(CLS_ID, *d, SEP_ID, *q, SEP_ID, *o, SEP_ID))
 
 
 def assemble_query_sequence(query: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
@@ -208,8 +198,7 @@ def assemble_query_sequence(query: str, vocab: Vocabulary, max_len: int) -> Toke
     q = tokenize(query, vocab)
     if len(q) + 2 > max_len:
         raise SequenceOverflowError(f"query ({len(q)}) tokens cannot fit in max_len={max_len}")
-    tokens = (CLS_ID, *q, SEP_ID)
-    return TokenSequence(tokens=tokens, segments=(SEG_QUERY,) * len(tokens))
+    return TokenSequence(tokens=(CLS_ID, *q, SEP_ID))
 
 
 def load_corpus(path: str) -> list[AnnotatedText]:
@@ -259,7 +248,6 @@ def save_corpus(texts: Sequence[AnnotatedText], path: str, kinds: Sequence[str] 
 __all__ = [
     "PAD", "UNK", "CLS", "SEP", "MASK",
     "PAD_ID", "UNK_ID", "CLS_ID", "SEP_ID", "MASK_ID",
-    "SEG_DESCRIPTION", "SEG_QUERY", "SEG_OPTION",
     "Vocabulary", "Mention", "AnnotatedText", "TokenSequence",
     "split_tokens", "tokenize", "detokenize",
     "build_query", "update_query",

@@ -9,5 +9,5 @@ class ModelConfigError(RuntimeError):
     """A checkpoint, config, or vocabulary is inconsistent with what the caller asked for."""
 
 
-class SequenceOverflowError(ValueError):
+class SequenceOverflowError(InputFormatError):
     """Query and option tokens alone exceed the maximum sequence length."""

@@ -1,5 +1,7 @@
 """Per-mention disambiguation: multiple-choice option scoring, the two-stage
-NIL verifier, the joint loss, and the local training loop.
+NIL verifier, the joint loss, and the local training loop. The model
+container, option encoder, scoring head, optimizer step and checkpoint codec
+defined here are shared with the global pass.
 
 Option encodings inside one mention may run in parallel; the softmax couples
 them only at the end. Training sums gradients in a fixed order so a fixed
@@ -9,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,18 +41,6 @@ from .kb import (
 )
 
 CHECKPOINT_FORMAT = "mrclink/1"
-
-
-@dataclass(frozen=True)
-class LocalLossWeights:
-    """Answer/NIL loss mix; defaults follow the standard configuration."""
-
-    alpha1: float = 0.75
-    alpha2: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.alpha1 < 0 or self.alpha2 < 0 or self.alpha1 + self.alpha2 <= 0:
-            raise ValueError("weights must be non-negative with a positive sum")
 
 
 @dataclass
@@ -93,24 +83,70 @@ def _pad_batch(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class LocalModel:
-    """Encoder plus the option-scoring head and NIL-verifier MLP."""
+class Model:
+    """Base of the local and global models: an encoder and the tensors on top
+    of it, held as named parameter groups.
+
+    ``GROUPS`` maps each parameter-name prefix to the attribute holding that
+    group, in declaration order; ``parameters()`` flattens the groups in that
+    order, which is also the tensor order of a checkpoint. A checkpoint
+    header stores ``KIND`` and the ``SETTINGS`` flags next to the config and
+    vocabulary.
+    """
+
+    KIND: ClassVar[str]
+    GROUPS: ClassVar[dict[str, str]]
+    SETTINGS: ClassVar[tuple[str, ...]]
 
     config: EncoderConfig
     vocab: Vocabulary
     enc_params: dict[str, np.ndarray]
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        """Flat view with ``<group>.`` prefixes, in declaration order."""
+        return {
+            f"{prefix}.{k}": v for prefix, attr in self.GROUPS.items() for k, v in getattr(self, attr).items()
+        }
+
+    def replace_parameters(self, flat: Mapping[str, np.ndarray]) -> None:
+        for prefix, attr in self.GROUPS.items():
+            cut = len(prefix) + 1
+            setattr(self, attr, {k[cut:]: v for k, v in flat.items() if k.startswith(prefix + ".")})
+
+
+def check_vocab(config: EncoderConfig, vocab: Vocabulary) -> None:
+    """Token ids must index the embedding rows one to one."""
+    if config.vocab_size != len(vocab):
+        raise ModelConfigError("encoder vocab_size must match the vocabulary")
+    if set(vocab.to_dict().values()) != set(range(len(vocab))):
+        raise ModelConfigError("vocabulary ids must run from 0 to its size minus one")
+
+
+def init_head(rng: np.random.Generator, d: int) -> dict[str, np.ndarray]:
+    """Option-scoring head: one logit per pooled option vector."""
+    bound = 1.0 / np.sqrt(d)
+    return {"score_w": rng.uniform(-bound, bound, d), "score_b": np.zeros(1)}
+
+
+@dataclass
+class LocalModel(Model):
+    """Encoder plus the option-scoring head and NIL-verifier MLP."""
+
+    KIND = "local"
+    GROUPS = {"enc": "enc_params", "head": "head", "nil": "nil"}
+    SETTINGS = ("nil_verifier",)
+
     head: dict[str, np.ndarray]
     nil: dict[str, np.ndarray]
     nil_verifier: bool = True
 
     @classmethod
     def init(cls, config: EncoderConfig, vocab: Vocabulary, nil_verifier: bool = True) -> "LocalModel":
-        if config.vocab_size != len(vocab):
-            raise ModelConfigError("encoder vocab_size must match the vocabulary")
+        check_vocab(config, vocab)
         d = config.d
         rng = np.random.default_rng(config.seed + 1_000_003)
         bound = 1.0 / np.sqrt(d)
-        head = {"score_w": rng.uniform(-bound, bound, d), "score_b": np.zeros(1)}
+        head = init_head(rng, d)
         nil = {
             "hidden_w": rng.uniform(-bound, bound, (d, d)),
             "hidden_b": np.zeros(d),
@@ -126,17 +162,40 @@ class LocalModel:
             nil_verifier=nil_verifier,
         )
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Flat view with ``enc.`` / ``head.`` / ``nil.`` prefixes, in declaration order."""
-        out = {f"enc.{k}": v for k, v in self.enc_params.items()}
-        out.update({f"head.{k}": v for k, v in self.head.items()})
-        out.update({f"nil.{k}": v for k, v in self.nil.items()})
-        return out
 
-    def replace_parameters(self, flat: dict[str, np.ndarray]) -> None:
-        self.enc_params = {k[4:]: v for k, v in flat.items() if k.startswith("enc.")}
-        self.head = {k[5:]: v for k, v in flat.items() if k.startswith("head.")}
-        self.nil = {k[4:]: v for k, v in flat.items() if k.startswith("nil.")}
+def encode_options(model: Model, options: Sequence[Entity], query: str) -> tuple[np.ndarray, EncoderTape]:
+    """Pooled vectors of ``[CLS] description [SEP] query [SEP] option [SEP]``,
+    one row per option, encoded as one padded batch.
+    """
+    if not options:
+        raise ValueError("candidate set must be non-empty")
+    seqs = [
+        assemble_option_sequence(e.description, query, e.canonical_name, model.vocab, model.config.max_len).tokens
+        for e in options
+    ]
+    ids, lengths = _pad_batch(seqs)
+    return enc.encode_batch(model.enc_params, model.config, ids, lengths)
+
+
+def head_softmax(head: Mapping[str, np.ndarray], vectors: np.ndarray) -> np.ndarray:
+    """Option probabilities: softmax over the head's logit for each vector."""
+    return enc.softmax(vectors @ head["score_w"] + head["score_b"][0])
+
+
+def head_backward(
+    head: Mapping[str, np.ndarray], vectors: np.ndarray, dlogits: np.ndarray, scale: float
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """``head.`` gradients of ``scale`` times the loss, and its gradient w.r.t. ``vectors``."""
+    dlogits = dlogits * scale
+    grads = {
+        "head.score_w": vectors.T @ dlogits,
+        "head.score_b": np.array([dlogits.sum()]),
+    }
+    return grads, np.outer(dlogits, head["score_w"])
+
+
+def prefixed(prefix: str, grads: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {f"{prefix}.{k}": v for k, v in grads.items()}
 
 
 def score_options(
@@ -146,16 +205,8 @@ def score_options(
     keep_tape: bool = False,
 ) -> tuple[LocalScores, ScoreTape | None]:
     """Encode every option sequence independently and softmax the head logits."""
-    if not candidates.options:
-        raise ValueError("candidate set must be non-empty")
-    seqs = [
-        assemble_option_sequence(e.description, query, e.canonical_name, model.vocab, model.config.max_len).tokens
-        for e in candidates.options
-    ]
-    ids, lengths = _pad_batch(seqs)
-    pooled, tape = enc.encode_batch(model.enc_params, model.config, ids, lengths)
-    logits = pooled @ model.head["score_w"] + model.head["score_b"][0]
-    probs = enc.softmax(logits)
+    pooled, tape = encode_options(model, candidates.options, query)
+    probs = head_softmax(model.head, pooled)
     scores = LocalScores(option_ids=candidates.option_ids, probs=probs, pooled=pooled)
     return scores, (ScoreTape(enc_tape=tape, pooled=pooled, probs=probs) if keep_tape else None)
 
@@ -184,8 +235,9 @@ def nil_loss(judgement: NilJudgement, linkable: bool) -> tuple[float, float]:
     return float(loss), p - y
 
 
-def joint_local_loss(ans: float, nil: float, weights: LocalLossWeights) -> float:
-    return weights.alpha1 * ans + weights.alpha2 * nil
+def joint_local_loss(ans: float, nil: float, cfg: RunConfig) -> float:
+    """``alpha1`` times the answer loss plus ``alpha2`` times the NIL loss."""
+    return cfg.alpha1 * ans + cfg.alpha2 * nil
 
 
 def local_predict(
@@ -267,14 +319,8 @@ def with_gold(candidates: CandidateSet, gold: Entity, k: int) -> CandidateSet:
 def _answer_backward(
     model: LocalModel, tape: ScoreTape, dlogits: np.ndarray, scale: float
 ) -> dict[str, np.ndarray]:
-    dlogits = dlogits * scale
-    grads = {
-        "head.score_w": tape.pooled.T @ dlogits,
-        "head.score_b": np.array([dlogits.sum()]),
-    }
-    dpooled = np.outer(dlogits, model.head["score_w"])
-    for k, v in enc.backprop_batch(tape.enc_tape, dpooled).items():
-        grads[f"enc.{k}"] = v
+    grads, dpooled = head_backward(model.head, tape.pooled, dlogits, scale)
+    grads.update(prefixed("enc", enc.backprop_batch(tape.enc_tape, dpooled)))
     return grads
 
 
@@ -291,8 +337,7 @@ def _nil_backward(model: LocalModel, tape: NilTape, dlogit: float, scale: float)
     grads["nil.hidden_w"] = np.outer(pooled, dpre)
     grads["nil.hidden_b"] = dpre
     dpooled = model.nil["hidden_w"] @ dpre
-    for k, v in enc.backprop(tape.enc_output, dpooled).items():
-        grads[f"enc.{k}"] = v
+    grads.update(prefixed("enc", enc.backprop(tape.enc_output, dpooled)))
     return grads
 
 
@@ -302,6 +347,22 @@ def _accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> No
             total[k] = total[k] + v
         else:
             total[k] = v
+
+
+def optimizer_step(model: Model, optimizer: enc.Adam, grads: Mapping[str, np.ndarray]) -> None:
+    """One Adam step on every parameter; those without a gradient get zeros."""
+    params = model.parameters()
+    full = {name: grads[name] if name in grads else np.zeros_like(p) for name, p in params.items()}
+    model.replace_parameters(optimizer.step(params, full))
+
+
+def write_log(records: Sequence[dict], path: str | None) -> None:
+    """Per-epoch records as JSON lines; nothing when ``path`` is None."""
+    if path is None:
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
 
 
 def _resolve_gold(m: Mention, kb: KnowledgeBase) -> Entity | None:
@@ -354,7 +415,6 @@ def train_local(
         seed=cfg.seed,
     )
     model = LocalModel.init(econf, vocab, nil_verifier=cfg.nil_verifier)
-    weights = LocalLossWeights(cfg.alpha1, cfg.alpha2)
 
     units: list[tuple[AnnotatedText, Mention]] = [
         (text, m) for text in corpus for m in text.mentions
@@ -388,16 +448,16 @@ def train_local(
 
             scores, tape = score_options(model, cands, query, keep_tape=True)
             l_ans, dlogits = answer_loss(scores, gold_index)
-            grads = _answer_backward(model, tape, dlogits, weights.alpha1)
+            grads = _answer_backward(model, tape, dlogits, cfg.alpha1)
 
             l_nil = 0.0
             judgement = None
             if cfg.nil_verifier:
                 judgement, nil_tape = nil_stage1(model, query, keep_tape=True)
                 l_nil, dlogit = nil_loss(judgement, linkable)
-                _accumulate(grads, _nil_backward(model, nil_tape, dlogit, weights.alpha2))
+                _accumulate(grads, _nil_backward(model, nil_tape, dlogit, cfg.alpha2))
 
-            losses.append(joint_local_loss(l_ans, l_nil, weights))
+            losses.append(joint_local_loss(l_ans, l_nil, cfg))
 
             predicted = local_predict(
                 scores, judgement, nil_threshold=cfg.nil_threshold, apply_override=cfg.nil_override
@@ -408,10 +468,7 @@ def train_local(
             nil_gold += gold_label == NIL
             nil_hit += predicted == NIL and gold_label == NIL
 
-            params = model.parameters()
-            for name in params:
-                grads.setdefault(name, np.zeros_like(params[name]))
-            model.replace_parameters(optimizer.step(params, grads))
+            optimizer_step(model, optimizer, grads)
 
         accuracy = n_correct / len(train_units) if train_units else 0.0
         record = {
@@ -425,43 +482,56 @@ def train_local(
         if cfg.stop_accuracy is not None and accuracy >= cfg.stop_accuracy:
             break
 
-    if log_path is not None:
-        with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
-            for record in logs:
-                fh.write(json.dumps(record) + "\n")
+    write_log(logs, log_path)
     return model, logs
 
 
 # ----------------------------- checkpoint I/O -----------------------------
 
+M = TypeVar("M", bound=Model)
 
-def save_local(model: LocalModel, path: str) -> None:
+
+def save_model(model: Model, path: str) -> None:
     header = {
         "format": CHECKPOINT_FORMAT,
-        "kind": "local",
+        "kind": model.KIND,
         "encoder_config": model.config.to_dict(),
         "vocab": model.vocab.to_dict(),
-        "nil_verifier": model.nil_verifier,
+        **{name: getattr(model, name) for name in model.SETTINGS},
     }
     enc.save_checkpoint(path, header, model.parameters())
 
 
-def load_local(path: str) -> LocalModel:
+def load_model(path: str, cls: type[M]) -> M:
+    """Read a ``cls`` checkpoint.
+
+    The file must hold exactly the tensor names and shapes of a fresh model
+    of its stored config and vocabulary; any mismatch, or a bad header,
+    raises ``ModelConfigError``.
+    """
     header, tensors = enc.load_checkpoint(path)
-    if header.get("format") != CHECKPOINT_FORMAT or header.get("kind") != "local":
-        raise ModelConfigError(f"{path}: not a local model checkpoint")
-    config = EncoderConfig.from_dict(header["encoder_config"])
-    vocab = Vocabulary({t: int(i) for t, i in header["vocab"].items()})
-    model = LocalModel(
-        config=config,
-        vocab=vocab,
-        enc_params={},
-        head={},
-        nil={},
-        nil_verifier=bool(header.get("nil_verifier", True)),
-    )
-    model.replace_parameters(tensors)
-    expected = {f"enc.{n}" for n in enc.param_names(config)}
-    if not expected <= set(tensors):
-        raise ModelConfigError(f"{path}: checkpoint is missing encoder tensors")
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT or header.get("kind") != cls.KIND:
+        raise ModelConfigError(f"{path}: not a {cls.KIND} model checkpoint")
+    # a setting missing from the header takes the class default
+    settings = {name: header.get(name, getattr(cls, name)) for name in cls.SETTINGS}
+    bad = [name for name, value in settings.items() if type(value) is not type(getattr(cls, name))]
+    if bad:
+        raise ModelConfigError(f"{path}: bad checkpoint settings {bad}")
+    try:
+        config = EncoderConfig.from_dict(header["encoder_config"])
+        vocab = Vocabulary({t: int(i) for t, i in header["vocab"].items()})
+        model = cls.init(config, vocab, **settings)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ModelConfigError(f"{path}: bad checkpoint header: {exc!r}") from exc
+    expected = {name: p.shape for name, p in model.parameters().items()}
+    found = {name: t.shape for name, t in tensors.items()}
+    if found != expected:
+        missing = sorted(expected.keys() - found.keys())
+        extra = sorted(found.keys() - expected.keys())
+        wrong = sorted(n for n in expected.keys() & found.keys() if expected[n] != found[n])
+        raise ModelConfigError(
+            f"{path}: tensors do not match the {cls.KIND} model: "
+            f"missing {missing}, unexpected {extra}, wrong shape {wrong}"
+        )
+    model.replace_parameters({name: tensors[name] for name in expected})
     return model

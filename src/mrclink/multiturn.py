@@ -6,37 +6,34 @@ and may run in parallel with identical per-text results.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import encoder as enc
-from .config import RunConfig
-from .corpus import (
-    AnnotatedText,
-    Mention,
-    Vocabulary,
-    assemble_option_sequence,
-    build_query,
-    update_query,
-)
+from .config import GATE_MODES, HISTORY_MODES, RunConfig
+from .corpus import AnnotatedText, Mention, Vocabulary, build_query, update_query
 from .encoder import EncoderConfig, EncoderTape
 from .errors import ModelConfigError
 from .kb import NIL, CandidateSet, Entity, KnowledgeBase, build_index, generate_candidates
 from .local import (
-    CHECKPOINT_FORMAT,
     LocalModel,
     MentionLocalResult,
+    Model,
     _accumulate,
-    _pad_batch,
     _resolve_gold,
+    check_vocab,
+    encode_options,
+    head_backward,
+    head_softmax,
+    init_head,
+    optimizer_step,
+    prefixed,
     run_local_pass,
     with_gold,
+    write_log,
 )
-
-GATE_PARAM_NAMES = ("update_w", "fuse_w", "keep_cur_w", "keep_hist_w")
 
 
 @dataclass(frozen=True)
@@ -122,10 +119,6 @@ def gate_fuse_batch(
         fused = np.tanh(cat_vh @ gate["fuse_w"].T)
         cache = {"v": v, "h": h, "fused": fused, "cat_vh": cat_vh}
         return GateFusion(fused=fused, update_gate=None, fusion=None, keep_gate=None, _cache=cache)
-    if mode == "gru_like":
-        raise NotImplementedError(
-            "gate_mode='gru_like' is a documented stub; use 'gated' or 'concat'"
-        )
     raise ValueError(f"unknown gate mode {mode!r}")
 
 
@@ -204,17 +197,43 @@ def gate_backward(
 
 
 @dataclass
-class GlobalModel:
+class GlobalModel(Model):
     """Own encoder plus the gate network and global scoring head."""
 
-    config: EncoderConfig
-    vocab: Vocabulary
-    enc_params: dict[str, np.ndarray]
+    KIND = "global"
+    GROUPS = {"enc": "enc_params", "gate": "gate", "head": "head"}
+    SETTINGS = ("gate_mode", "history_mode", "nil_verifier")
+
     gate: dict[str, np.ndarray]
     head: dict[str, np.ndarray]
     gate_mode: str = "gated"
     history_mode: str = "flow"
     nil_verifier: bool = True
+
+    @classmethod
+    def init(
+        cls,
+        config: EncoderConfig,
+        vocab: Vocabulary,
+        gate_mode: str = "gated",
+        history_mode: str = "flow",
+        nil_verifier: bool = True,
+        enc_params: dict[str, np.ndarray] | None = None,
+    ) -> "GlobalModel":
+        """Fresh gate and head; a fresh encoder too unless ``enc_params`` is given."""
+        check_vocab(config, vocab)
+        if gate_mode not in GATE_MODES or history_mode not in HISTORY_MODES:
+            raise ModelConfigError(f"unknown gate mode {gate_mode!r} or history mode {history_mode!r}")
+        return cls(
+            config=config,
+            vocab=vocab,
+            enc_params=enc.init_params(config) if enc_params is None else enc_params,
+            gate=init_gate_params(config.d, config.seed + 2_000_033),
+            head=init_head(np.random.default_rng(config.seed + 2_000_003), config.d),
+            gate_mode=gate_mode,
+            history_mode=history_mode,
+            nil_verifier=nil_verifier,
+        )
 
     @classmethod
     def from_local(
@@ -226,14 +245,7 @@ class GlobalModel:
     ) -> "GlobalModel":
         """Start from the trained local encoder; the gate and head are fresh."""
         max_len = local.config.max_len if max_len is None else max_len
-        config = EncoderConfig(
-            vocab_size=local.config.vocab_size,
-            max_len=max_len,
-            d=local.config.d,
-            n_layers=local.config.n_layers,
-            n_heads=local.config.n_heads,
-            seed=local.config.seed,
-        )
+        config = replace(local.config, max_len=max_len)
         enc_params = {k: v.copy() for k, v in local.enc_params.items()}
         if max_len > local.config.max_len:
             rng = np.random.default_rng(config.seed + 3_000_017)
@@ -242,30 +254,7 @@ class GlobalModel:
             enc_params["pos_emb"] = np.vstack([enc_params["pos_emb"], extra])
         elif max_len < local.config.max_len:
             enc_params["pos_emb"] = enc_params["pos_emb"][:max_len].copy()
-        rng = np.random.default_rng(config.seed + 2_000_003)
-        bound = 1.0 / np.sqrt(config.d)
-        head = {"score_w": rng.uniform(-bound, bound, config.d), "score_b": np.zeros(1)}
-        return cls(
-            config=config,
-            vocab=local.vocab,
-            enc_params=enc_params,
-            gate=init_gate_params(config.d, config.seed + 2_000_033),
-            head=head,
-            gate_mode=gate_mode,
-            history_mode=history_mode,
-            nil_verifier=local.nil_verifier,
-        )
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        out = {f"enc.{k}": v for k, v in self.enc_params.items()}
-        out.update({f"gate.{k}": v for k, v in self.gate.items()})
-        out.update({f"head.{k}": v for k, v in self.head.items()})
-        return out
-
-    def replace_parameters(self, flat: dict[str, np.ndarray]) -> None:
-        self.enc_params = {k[4:]: v for k, v in flat.items() if k.startswith("enc.")}
-        self.gate = {k[5:]: v for k, v in flat.items() if k.startswith("gate.")}
-        self.head = {k[5:]: v for k, v in flat.items() if k.startswith("head.")}
+        return cls.init(config, local.vocab, gate_mode, history_mode, local.nil_verifier, enc_params)
 
 
 @dataclass
@@ -289,10 +278,7 @@ class GlobalTape:
 
 def encode_option_vector(model: GlobalModel, entity: Entity, query: str) -> np.ndarray:
     """Pooled representation of one option sequence under the global encoder."""
-    seq = assemble_option_sequence(
-        entity.description, query, entity.canonical_name, model.vocab, model.config.max_len
-    )
-    return enc.encode(model.enc_params, model.config, seq).pooled
+    return encode_options(model, (entity,), query)[0][0]
 
 
 def global_score_mention(
@@ -303,17 +289,9 @@ def global_score_mention(
     keep_tape: bool = False,
 ) -> tuple[GlobalScores, GlobalTape | None]:
     """Encode options against the updated query, fuse with history, and softmax."""
-    if not candidates.options:
-        raise ValueError("candidate set must be non-empty")
-    seqs = [
-        assemble_option_sequence(e.description, query, e.canonical_name, model.vocab, model.config.max_len).tokens
-        for e in candidates.options
-    ]
-    ids, lengths = _pad_batch(seqs)
-    raw, tape = enc.encode_batch(model.enc_params, model.config, ids, lengths)
+    raw, tape = encode_options(model, candidates.options, query)
     fusion = gate_fuse_batch(raw, history, model.gate, model.gate_mode)
-    logits = fusion.fused @ model.head["score_w"] + model.head["score_b"][0]
-    probs = enc.softmax(logits)
+    probs = head_softmax(model.head, fusion.fused)
     scores = GlobalScores(option_ids=candidates.option_ids, probs=probs, raw=raw, fused=fusion.fused)
     if not keep_tape:
         return scores, None
@@ -329,17 +307,10 @@ def global_backward(
     model: GlobalModel, tape: GlobalTape, dlogits: np.ndarray, scale: float = 1.0
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Backward through head, gate, and encoder; also returns the history gradient."""
-    dlogits = dlogits * scale
-    grads: dict[str, np.ndarray] = {
-        "head.score_w": tape.fused.T @ dlogits,
-        "head.score_b": np.array([dlogits.sum()]),
-    }
-    dfused = np.outer(dlogits, model.head["score_w"])
+    grads, dfused = head_backward(model.head, tape.fused, dlogits, scale)
     draw, dhistory, gate_grads = gate_backward(tape.gate_fusion, dfused, model.gate, model.gate_mode)
-    for k, v in gate_grads.items():
-        grads[f"gate.{k}"] = v
-    for k, v in enc.backprop_batch(tape.enc_tape, draw).items():
-        grads[f"enc.{k}"] = v
+    grads.update(prefixed("gate", gate_grads))
+    grads.update(prefixed("enc", enc.backprop_batch(tape.enc_tape, draw)))
     return grads, dhistory
 
 
@@ -534,12 +505,7 @@ def train_global(
             if not turn_losses:
                 continue
             inv = 1.0 / len(turn_losses)
-            params = model.parameters()
-            grads_full = {
-                name: turn_grads[name] * inv if name in turn_grads else np.zeros_like(value)
-                for name, value in params.items()
-            }
-            model.replace_parameters(optimizer.step(params, grads_full))
+            optimizer_step(model, optimizer, {name: g * inv for name, g in turn_grads.items()})
             losses.append(float(np.mean(turn_losses)))
 
         record = {
@@ -549,47 +515,5 @@ def train_global(
         }
         logs.append(record)
 
-    if log_path is not None:
-        with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
-            for record in logs:
-                fh.write(json.dumps(record) + "\n")
+    write_log(logs, log_path)
     return model, logs
-
-
-# ----------------------------- checkpoint I/O -----------------------------
-
-
-def save_global(model: GlobalModel, path: str) -> None:
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "kind": "global",
-        "encoder_config": model.config.to_dict(),
-        "vocab": model.vocab.to_dict(),
-        "gate_mode": model.gate_mode,
-        "history_mode": model.history_mode,
-        "nil_verifier": model.nil_verifier,
-    }
-    enc.save_checkpoint(path, header, model.parameters())
-
-
-def load_global(path: str) -> GlobalModel:
-    header, tensors = enc.load_checkpoint(path)
-    if header.get("format") != CHECKPOINT_FORMAT or header.get("kind") != "global":
-        raise ModelConfigError(f"{path}: not a global model checkpoint")
-    config = EncoderConfig.from_dict(header["encoder_config"])
-    vocab = Vocabulary({t: int(i) for t, i in header["vocab"].items()})
-    model = GlobalModel(
-        config=config,
-        vocab=vocab,
-        enc_params={},
-        gate={},
-        head={},
-        gate_mode=str(header.get("gate_mode", "gated")),
-        history_mode=str(header.get("history_mode", "flow")),
-        nil_verifier=bool(header.get("nil_verifier", True)),
-    )
-    model.replace_parameters(tensors)
-    missing = {f"gate.{n}" for n in GATE_PARAM_NAMES} - set(tensors)
-    if missing:
-        raise ModelConfigError(f"{path}: checkpoint is missing gate tensors {sorted(missing)}")
-    return model

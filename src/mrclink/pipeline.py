@@ -20,18 +20,7 @@ from .local import LocalModel, run_local_pass
 from .multiturn import GlobalModel, MultiTurnResult, run_multi_turn
 
 
-@dataclass(frozen=True)
-class FusionConfig:
-    """Weight of the local score in the convex score combination."""
-
-    beta: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must be in [0, 1]")
-
-
-def rear_fusion(local_probs: np.ndarray, global_probs: np.ndarray, config: FusionConfig) -> np.ndarray:
+def rear_fusion(local_probs: np.ndarray, global_probs: np.ndarray, beta: float) -> np.ndarray:
     """Elementwise beta * local + (1 - beta) * global."""
     local_probs = np.asarray(local_probs, dtype=np.float64)
     global_probs = np.asarray(global_probs, dtype=np.float64)
@@ -39,7 +28,7 @@ def rear_fusion(local_probs: np.ndarray, global_probs: np.ndarray, config: Fusio
         raise ValueError(
             f"score vectors must have equal length, got {local_probs.shape} vs {global_probs.shape}"
         )
-    return config.beta * local_probs + (1.0 - config.beta) * global_probs
+    return beta * local_probs + (1.0 - beta) * global_probs
 
 
 @dataclass
@@ -85,7 +74,6 @@ def link_text(
     """
     local_results = run_local_pass(local_model, text, index, cfg)
     n = len(local_results)
-    fusion = FusionConfig(cfg.beta)
 
     mt: MultiTurnResult | None = None
     if global_model is not None and n >= 2:
@@ -101,7 +89,7 @@ def link_text(
             fused = None
             selected = res.selected
         else:
-            fused = rear_fusion(res.scores.probs, gscores.probs, fusion)
+            fused = rear_fusion(res.scores.probs, gscores.probs, cfg.beta)
             if res.overridden:
                 selected = NIL
             elif len(fused):

@@ -32,7 +32,6 @@ from mrclink.local import (
     answer_loss,
     build_vocabulary,
     joint_local_loss,
-    LocalLossWeights,
     nil_loss,
     nil_stage1,
     score_options,
@@ -48,7 +47,7 @@ from mrclink.multiturn import (
     rank_mentions,
     train_global,
 )
-from mrclink.pipeline import FusionConfig, evaluate, link_corpus, rear_fusion
+from mrclink.pipeline import evaluate, link_corpus, rear_fusion
 from mrclink.synth import SynthSpec, generate_synthetic_world
 
 SEEDS = (0, 1, 2)
@@ -81,10 +80,9 @@ REFERENCE_ROWS = [
 
 
 def test_criterion_1_rear_fusion_reference_table():
-    cfg = FusionConfig(beta=0.5)
     worst = 0.0
     for local, glob, final in REFERENCE_ROWS:
-        fused = float(rear_fusion(np.array([local]), np.array([glob]), cfg)[0])
+        fused = float(rear_fusion(np.array([local]), np.array([glob]), 0.5)[0])
         worst = max(worst, abs(fused - final))
         assert abs(fused - final) <= 0.005 + 1e-12, (local, glob, final, fused)
     report(1, "rear fusion table", f"{len(REFERENCE_ROWS)} rows within ±0.005 (worst {worst:.4f})")
@@ -135,7 +133,7 @@ def _fd_check(loss_fn, tensors, analytic, rng, cap=80):
 def test_criterion_2_gradient_suite():
     kb, corpus = _grad_world()
     index = build_index(kb)
-    weights = LocalLossWeights()
+    cfg = RunConfig()
     total = 0
     for seed in range(5):
         rng = np.random.default_rng(1000 + seed)
@@ -180,14 +178,14 @@ def test_criterion_2_gradient_suite():
                 l_ans, _ = answer_loss(scores, gold)
                 j, _ = nil_stage1(model, query)
                 l_nil, _ = nil_loss(j, True)
-                return joint_local_loss(l_ans, l_nil, weights)
+                return joint_local_loss(l_ans, l_nil, cfg)
 
             scores, tape = score_options(model, cands, query, keep_tape=True)
             _, dl = answer_loss(scores, gold)
-            grads = _answer_backward(model, tape, dl, weights.alpha1)
+            grads = _answer_backward(model, tape, dl, cfg.alpha1)
             judgement, ntape = nil_stage1(model, query, keep_tape=True)
             _, dlogit = nil_loss(judgement, True)
-            for k, v in _nil_backward(model, ntape, dlogit, weights.alpha2).items():
+            for k, v in _nil_backward(model, ntape, dlogit, cfg.alpha2).items():
                 grads[k] = grads.get(k, 0) + v
             n, bad = _fd_check(local_loss_fn, model.parameters(), grads, rng, cap=60)
             assert not bad, bad[:3]

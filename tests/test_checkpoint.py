@@ -1,0 +1,116 @@
+"""Checkpoint codec: round trip and rejection of files that do not match their model."""
+import numpy as np
+import pytest
+
+from mrclink import encoder as enc
+from mrclink.encoder import EncoderConfig
+from mrclink.errors import ModelConfigError
+from mrclink.kb import Entity, KnowledgeBase
+from mrclink.corpus import AnnotatedText, Mention
+from mrclink.local import LocalModel, build_vocabulary, load_model, save_model
+from mrclink.multiturn import GlobalModel
+
+KINDS = {"local": LocalModel, "global": GlobalModel}
+
+
+def make_model(kind):
+    kb = KnowledgeBase([Entity("e1", "alpha sport", "alpha ball game", ("alpha",), 3)])
+    corpus = [AnnotatedText("alpha kicks", (Mention(0, 5, "alpha", "e1"),))]
+    vocab = build_vocabulary(corpus, kb)
+    local = LocalModel.init(EncoderConfig(vocab_size=len(vocab), max_len=16, d=4, n_layers=1, n_heads=2), vocab)
+    return local if kind == "local" else GlobalModel.from_local(local, max_len=20, gate_mode="concat")
+
+
+def saved(kind, tmp_path):
+    """A checkpoint of a fresh ``kind`` model, read back as (path, header, tensors)."""
+    path = tmp_path / f"{kind}.ckpt"
+    save_model(make_model(kind), str(path))
+    header, tensors = enc.load_checkpoint(str(path))
+    return path, header, tensors
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_round_trip_keeps_settings_and_tensor_order(kind, tmp_path):
+    model = make_model(kind)
+    path = tmp_path / "m.ckpt"
+    save_model(model, str(path))
+    back = load_model(str(path), KINDS[kind])
+    assert back.config == model.config
+    assert back.vocab.to_dict() == model.vocab.to_dict()
+    assert all(getattr(back, name) == getattr(model, name) for name in model.SETTINGS)
+    assert list(back.parameters()) == list(model.parameters())
+    for name, value in model.parameters().items():
+        assert back.parameters()[name].tobytes() == value.tobytes()
+
+
+def _drop_head_weight(header, tensors):
+    del tensors["head.score_w"]
+
+
+def _add_tensor(header, tensors):
+    tensors["head.extra"] = np.zeros(3)
+
+
+def _reshape_head_weight(header, tensors):
+    tensors["head.score_w"] = np.zeros(tensors["head.score_w"].size + 1)
+
+
+def _grow_tok_emb(header, tensors):
+    tensors["enc.tok_emb"] = np.vstack([tensors["enc.tok_emb"], np.zeros((1, header["encoder_config"]["d"]))])
+
+
+def _grow_tok_emb_and_config(header, tensors):
+    _grow_tok_emb(header, tensors)
+    header["encoder_config"]["vocab_size"] += 1
+
+
+def _drop_encoder_config(header, tensors):
+    del header["encoder_config"]
+
+
+def _gap_in_vocabulary(header, tensors):
+    token = max(header["vocab"], key=header["vocab"].get)
+    header["vocab"][token] += 1
+
+
+def _bad_setting(header, tensors):
+    header["nil_verifier"] = "yes"
+
+
+CORRUPTIONS = [
+    _drop_head_weight,
+    _add_tensor,
+    _reshape_head_weight,
+    _grow_tok_emb,
+    _grow_tok_emb_and_config,
+    _drop_encoder_config,
+    _gap_in_vocabulary,
+    _bad_setting,
+]
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_mismatched_checkpoint_rejected(kind, corrupt, tmp_path):
+    path, header, tensors = saved(kind, tmp_path)
+    corrupt(header, tensors)
+    enc.save_checkpoint(str(path), header, tensors)
+    with pytest.raises(ModelConfigError):
+        load_model(str(path), KINDS[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_wrong_kind_rejected(kind, tmp_path):
+    path, _, _ = saved(kind, tmp_path)
+    other = next(cls for name, cls in KINDS.items() if name != kind)
+    with pytest.raises(ModelConfigError):
+        load_model(str(path), other)
+
+
+@pytest.mark.parametrize("mode", [("gate_mode", "gru_like"), ("history_mode", "other")])
+def test_unknown_global_mode_rejected(mode, tmp_path):
+    path, header, tensors = saved("global", tmp_path)
+    header[mode[0]] = mode[1]
+    enc.save_checkpoint(str(path), header, tensors)
+    with pytest.raises(ModelConfigError):
+        load_model(str(path), GlobalModel)

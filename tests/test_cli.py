@@ -4,6 +4,10 @@ import json
 import pytest
 
 from mrclink.cli import main
+from mrclink.corpus import AnnotatedText, Mention, load_corpus, save_corpus
+from mrclink.encoder import EncoderConfig, load_checkpoint, save_checkpoint
+from mrclink.kb import load_kb
+from mrclink.local import LocalModel, build_vocabulary, save_model
 
 CFG = {
     "seed": 0,
@@ -107,3 +111,41 @@ def test_gen_synth_rejects_impossible_world(tmp_path, capsys):
         "--test-out", str(tmp_path / "te.jsonl"),
     ])
     assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def untrained_local(workdir):
+    """An untrained local checkpoint over the work directory's KB and corpus."""
+    kb = load_kb(str(workdir / "kb.jsonl"))
+    vocab = build_vocabulary(load_corpus(str(workdir / "train.jsonl")), kb)
+    config = EncoderConfig(vocab_size=len(vocab), max_len=CFG["max_len_local"], d=8, n_layers=1, n_heads=2)
+    path = workdir / "untrained_local.ckpt"
+    save_model(LocalModel.init(config, vocab), str(path))
+    return path
+
+
+def test_checkpoint_without_head_exits_3(workdir, untrained_local, tmp_path, capsys):
+    header, tensors = load_checkpoint(str(untrained_local))
+    headless = tmp_path / "headless.ckpt"
+    save_checkpoint(str(headless), header, {k: v for k, v in tensors.items() if not k.startswith("head.")})
+    rc = main([
+        "link", "--kb", str(workdir / "kb.jsonl"), "--corpus", str(workdir / "test.jsonl"),
+        "--local-model", str(headless), "--out", str(tmp_path / "dec.jsonl"),
+    ])
+    assert rc == 3
+    assert "head.score_w" in capsys.readouterr().err
+
+
+def test_overlong_text_exits_2(workdir, untrained_local, tmp_path, capsys):
+    surface = load_corpus(str(workdir / "test.jsonl"))[0].mentions[0].surface
+    words = [surface] + ["filler"] * 60  # 61 query tokens for max_len_local 48
+    corpus = tmp_path / "long.jsonl"
+    save_corpus([AnnotatedText(" ".join(words), (Mention(0, len(surface), surface),))], str(corpus))
+    rc = main([
+        "link", "--kb", str(workdir / "kb.jsonl"), "--corpus", str(corpus),
+        "--local-model", str(untrained_local), "--config", str(workdir / "cfg.json"),
+        "--out", str(tmp_path / "dec.jsonl"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "max_len=48" in err

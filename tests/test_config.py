@@ -42,11 +42,19 @@ def test_unknown_keys_rejected():
 
 
 def test_invalid_values_rejected():
-    with pytest.raises(InputFormatError):
-        RunConfig(beta=1.5)
-    with pytest.raises(InputFormatError):
-        RunConfig(k=0)
-    with pytest.raises(InputFormatError):
-        RunConfig(alpha1=0.0, alpha2=0.0)
-    with pytest.raises(InputFormatError):
-        RunConfig(gate_mode="other")
+    for bad in (
+        dict(beta=1.5),
+        dict(beta=-0.01),
+        dict(k=0),
+        dict(alpha1=0.0, alpha2=0.0),
+        dict(alpha1=-0.1),
+        dict(alpha2=-0.1),
+        dict(gate_mode="other"),
+        dict(gate_mode="gru_like"),
+        dict(history_mode="other"),
+    ):
+        with pytest.raises(InputFormatError):
+            RunConfig(**bad)
+    # the range ends and a zero weight stay valid
+    assert RunConfig(beta=0.0).beta == 0.0 and RunConfig(beta=1.0).beta == 1.0
+    assert RunConfig(alpha2=0.0).alpha2 == 0.0

@@ -10,7 +10,6 @@ from mrclink.encoder import EncoderConfig
 from mrclink.errors import ModelConfigError
 from mrclink.kb import NIL, CandidateSet, Entity, KnowledgeBase, build_index, generate_candidates
 from mrclink.local import (
-    LocalLossWeights,
     LocalModel,
     LocalScores,
     NilJudgement,
@@ -19,11 +18,11 @@ from mrclink.local import (
     answer_loss,
     build_vocabulary,
     joint_local_loss,
-    load_local,
+    load_model,
     local_predict,
     nil_loss,
     nil_stage1,
-    save_local,
+    save_model,
     score_options,
     train_local,
     with_gold,
@@ -202,21 +201,13 @@ class TestNilVerifier:
 
 
 class TestJointLoss:
-    def test_default_weights(self):
-        w = LocalLossWeights()
-        assert (w.alpha1, w.alpha2) == (0.75, 0.25)
-
     def test_zero_nil_weight(self):
-        w = LocalLossWeights(0.75, 0.0)
-        assert joint_local_loss(1.3, 99.0, w) == pytest.approx(0.75 * 1.3, abs=1e-15)
+        cfg = RunConfig(alpha1=0.75, alpha2=0.0)
+        assert joint_local_loss(1.3, 99.0, cfg) == pytest.approx(0.75 * 1.3, abs=1e-15)
 
     def test_convex_weights_preserve_common_value(self):
-        w = LocalLossWeights()
-        assert joint_local_loss(math.log(2), math.log(2), w) == pytest.approx(math.log(2), abs=1e-15)
-
-    def test_degenerate_weights_rejected(self):
-        with pytest.raises(ValueError):
-            LocalLossWeights(0.0, 0.0)
+        cfg = RunConfig()
+        assert joint_local_loss(math.log(2), math.log(2), cfg) == pytest.approx(math.log(2), abs=1e-15)
 
 
 class TestLocalPredict:
@@ -275,7 +266,7 @@ class TestJointGradients:
         index = build_index(kb)
         cands = generate_candidates(index, "alpha", 5, with_nil=True)
         query = "[MASK] kicks ball game"
-        weights = LocalLossWeights()
+        cfg = RunConfig()
         gold_index = 0
 
         def loss_fn():
@@ -283,14 +274,14 @@ class TestJointGradients:
             l_ans, _ = answer_loss(scores, gold_index)
             judgement, _ = nil_stage1(model, query)
             l_nil, _ = nil_loss(judgement, True)
-            return joint_local_loss(l_ans, l_nil, weights)
+            return joint_local_loss(l_ans, l_nil, cfg)
 
         scores, tape = score_options(model, cands, query, keep_tape=True)
         _, dlogits = answer_loss(scores, gold_index)
-        grads = _answer_backward(model, tape, dlogits, weights.alpha1)
+        grads = _answer_backward(model, tape, dlogits, cfg.alpha1)
         judgement, ntape = nil_stage1(model, query, keep_tape=True)
         _, dlogit = nil_loss(judgement, True)
-        for k, v in _nil_backward(model, ntape, dlogit, weights.alpha2).items():
+        for k, v in _nil_backward(model, ntape, dlogit, cfg.alpha2).items():
             grads[k] = grads.get(k, 0) + v
 
         rng = np.random.default_rng(0)
@@ -370,8 +361,8 @@ class TestTrainLocal:
         kb, corpus = tiny_world()
         model, _ = train_local(corpus, kb, small_cfg(epochs_local=1))
         path = tmp_path / "local.ckpt"
-        save_local(model, str(path))
-        back = load_local(str(path))
+        save_model(model, str(path))
+        back = load_model(str(path), LocalModel)
         assert back.config == model.config
         assert back.vocab.to_dict() == model.vocab.to_dict()
         assert back.nil_verifier == model.nil_verifier

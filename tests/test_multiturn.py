@@ -7,6 +7,7 @@ import pytest
 from mrclink.config import EncoderSettings, RunConfig
 from mrclink.corpus import AnnotatedText, Mention
 from mrclink.encoder import EncoderConfig, softmax
+from mrclink.errors import InputFormatError
 from mrclink.kb import NIL, CandidateSet, Entity, KnowledgeBase, build_index, generate_candidates
 from mrclink.local import LocalModel, build_vocabulary, run_local_pass
 from mrclink.multiturn import (
@@ -18,12 +19,11 @@ from mrclink.multiturn import (
     global_loss,
     global_score_mention,
     init_gate_params,
-    load_global,
     rank_mentions,
     run_multi_turn,
-    save_global,
     train_global,
 )
+from mrclink.local import load_model, save_model
 
 
 def zero_gate(d):
@@ -141,9 +141,11 @@ class TestGateFuse:
         f = np.tanh(gate["fuse_w"] @ np.concatenate([np.zeros(d), v]))
         np.testing.assert_allclose(out.fused, g * f, atol=1e-12)
 
-    def test_gru_like_is_a_stub(self):
+    def test_gru_like_is_rejected(self):
         d = 4
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(InputFormatError):
+            RunConfig(gate_mode="gru_like")
+        with pytest.raises(ValueError):
             gate_fuse(np.zeros(d), np.zeros(d), zero_gate(d), mode="gru_like")
 
     def test_concat_mode_forward_and_backward(self):
@@ -445,8 +447,8 @@ class TestTrainGlobal:
         cfg, local, _ = make_models(kb, corpus, epochs_global=1)
         model, _ = train_global(corpus, kb, local, cfg)
         path = tmp_path / "global.ckpt"
-        save_global(model, str(path))
-        back = load_global(str(path))
+        save_model(model, str(path))
+        back = load_model(str(path), GlobalModel)
         assert back.config == model.config
         assert back.gate_mode == model.gate_mode
         assert back.history_mode == model.history_mode

@@ -10,7 +10,6 @@ from mrclink.kb import NIL, Entity, KnowledgeBase, build_index, prior_baseline
 from mrclink.local import LocalModel, build_vocabulary
 from mrclink.multiturn import GlobalModel
 from mrclink.pipeline import (
-    FusionConfig,
     LinkDecision,
     evaluate,
     link_corpus,
@@ -37,27 +36,26 @@ class TestRearFusion:
     ]
 
     def test_reference_rows_reproduced_within_rounding(self):
-        cfg = FusionConfig(beta=0.5)
         for local, glob, final in self.ROWS:
-            fused = rear_fusion(np.array([local]), np.array([glob]), cfg)
+            fused = rear_fusion(np.array([local]), np.array([glob]), 0.5)
             assert abs(fused[0] - final) <= 0.005 + 1e-12
 
     def test_beta_one_is_local(self):
         rng = np.random.default_rng(0)
         a, b = rng.random(5), rng.random(5)
-        np.testing.assert_array_equal(rear_fusion(a, b, FusionConfig(1.0)), a)
+        np.testing.assert_array_equal(rear_fusion(a, b, 1.0), a)
 
     def test_beta_zero_is_global(self):
         rng = np.random.default_rng(1)
         a, b = rng.random(5), rng.random(5)
-        np.testing.assert_array_equal(rear_fusion(a, b, FusionConfig(0.0)), b)
+        np.testing.assert_array_equal(rear_fusion(a, b, 0.0), b)
 
     def test_argmax_endpoints(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             a, b = rng.random(6), rng.random(6)
-            assert np.argmax(rear_fusion(a, b, FusionConfig(1.0))) == np.argmax(a)
-            assert np.argmax(rear_fusion(a, b, FusionConfig(0.0))) == np.argmax(b)
+            assert np.argmax(rear_fusion(a, b, 1.0)) == np.argmax(a)
+            assert np.argmax(rear_fusion(a, b, 0.0)) == np.argmax(b)
 
     def test_simplex_preserved(self):
         rng = np.random.default_rng(3)
@@ -66,16 +64,12 @@ class TestRearFusion:
             a /= a.sum()
             b = rng.random(4)
             b /= b.sum()
-            fused = rear_fusion(a, b, FusionConfig(0.5))
+            fused = rear_fusion(a, b, 0.5)
             assert abs(fused.sum() - 1.0) < 1e-9
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            rear_fusion(np.zeros(3), np.zeros(4), FusionConfig(0.5))
-
-    def test_beta_range_enforced(self):
-        with pytest.raises(ValueError):
-            FusionConfig(1.5)
+            rear_fusion(np.zeros(3), np.zeros(4), 0.5)
 
 
 def pipeline_world():
