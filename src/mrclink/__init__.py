@@ -25,10 +25,7 @@ from .encoder import (
     Adam,
     AdamState,
     EncoderConfig,
-    EncoderOutput,
     adam_step,
-    backprop,
-    encode,
     init_adam_state,
     init_params,
 )
@@ -64,7 +61,6 @@ from .multiturn import (
     AmbiguityRank,
     GlobalModel,
     GlobalScores,
-    gate_fuse,
     global_loss,
     global_score_mention,
     rank_mentions,

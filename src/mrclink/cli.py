@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 input-format error, 3 model/config mismatch.
+Exit codes: 0 success, 2 input-format error or a path that cannot be opened,
+3 model/config mismatch.
 """
 from __future__ import annotations
 
@@ -178,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (ModelConfigError, FileNotFoundError) as exc:
+    except (ModelConfigError, OSError) as exc:
         code = 3 if isinstance(exc, ModelConfigError) else 2
         print(f"error: {exc}", file=sys.stderr)
         return code

@@ -16,12 +16,11 @@ import io
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.special import erf
 
-from .corpus import TokenSequence
 from .errors import ModelConfigError
 
 LN_EPS = 1e-6
@@ -200,14 +199,6 @@ class EncoderTape:
     layer_caches: list[dict] = field(default_factory=list)
 
 
-@dataclass
-class EncoderOutput:
-    """Pooled position-0 representation plus the backward tape."""
-
-    pooled: np.ndarray
-    tape: EncoderTape
-
-
 def encode_batch(
     params: Mapping[str, np.ndarray],
     config: EncoderConfig,
@@ -340,28 +331,6 @@ def backprop_batch(tape: EncoderTape, pooled_grad: np.ndarray) -> dict[str, np.n
     np.add.at(grads["tok_emb"], flat_ids, dx.reshape(-1, config.d))
     grads["pos_emb"][:t] += dx.sum(axis=0)
     return grads
-
-
-def encode(
-    params: Mapping[str, np.ndarray],
-    config: EncoderConfig,
-    sequence: TokenSequence | Sequence[int],
-    valid_len: int | None = None,
-) -> EncoderOutput:
-    """Encode one sequence; ``valid_len`` masks trailing pad positions."""
-    tokens = sequence.tokens if isinstance(sequence, TokenSequence) else tuple(sequence)
-    ids = np.asarray([tokens], dtype=np.int64)
-    lengths = None if valid_len is None else np.asarray([valid_len], dtype=np.int64)
-    pooled, tape = encode_batch(params, config, ids, lengths)
-    return EncoderOutput(pooled=pooled[0], tape=tape)
-
-
-def backprop(output: EncoderOutput, pooled_grad: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients over all encoder parameters for a single-sequence encode."""
-    pooled_grad = np.asarray(pooled_grad, dtype=np.float64)
-    if pooled_grad.shape != output.pooled.shape:
-        raise ValueError("pooled_grad must match the pooled vector shape")
-    return backprop_batch(output.tape, pooled_grad[None, :])
 
 
 # ----------------------------- Adam with linear warmup -----------------------------

@@ -3,13 +3,19 @@ NIL verifier, the joint loss, and the local training loop. The model
 container, option encoder, scoring head, optimizer step and checkpoint codec
 defined here are shared with the global pass.
 
-Option encodings inside one mention may run in parallel; the softmax couples
-them only at the end. Training sums gradients in a fixed order so a fixed
-seed reproduces bitwise-identical parameters.
+Each mention is one padded encoder batch: a ``[CLS] description [SEP] query
+[SEP] option [SEP]`` row per option, plus the ``[CLS] query [SEP]`` row that
+stage 1 of the verifier reads when the verifier is on. The head softmaxes
+over the option rows, the verifier MLP reads the query row, and training
+sends both gradients back through one encoder backward. Rows are encoded
+independently; the softmax couples the options only at the end. Training
+sums gradients in a fixed order so a fixed seed reproduces bitwise-identical
+parameters.
 """
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping, Sequence, TypeVar
 
@@ -43,15 +49,6 @@ from .kb import (
 CHECKPOINT_FORMAT = "mrclink/1"
 
 
-@dataclass
-class LocalScores:
-    """Per-option probabilities and pooled vectors for one mention."""
-
-    option_ids: tuple[str, ...]
-    probs: np.ndarray
-    pooled: np.ndarray
-
-
 @dataclass(frozen=True)
 class NilJudgement:
     """Probability that the mention is linkable, read from the query alone."""
@@ -60,26 +57,24 @@ class NilJudgement:
 
 
 @dataclass
-class ScoreTape:
-    enc_tape: EncoderTape
-    pooled: np.ndarray
+class LocalScores:
+    """Per-option probabilities and pooled vectors for one mention, and the
+    stage-1 verifier judgement (None with the verifier off)."""
+
+    option_ids: tuple[str, ...]
     probs: np.ndarray
+    pooled: np.ndarray
+    nil: NilJudgement | None = None
 
 
 @dataclass
-class NilTape:
-    enc_output: enc.EncoderOutput
-    hidden: np.ndarray
-    prob: float
+class ScoreTape:
+    """Backward state of one ``score_options`` call: the encoder tape, the
+    pooled rows (options, then the query row) and the verifier's hidden layer."""
 
-
-def _pad_batch(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    lengths = np.asarray([len(s) for s in seqs], dtype=np.int64)
-    t = int(lengths.max())
-    ids = np.full((len(seqs), t), PAD_ID, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        ids[i, : len(s)] = s
-    return ids, lengths
+    enc_tape: EncoderTape
+    pooled: np.ndarray
+    nil_hidden: np.ndarray | None
 
 
 @dataclass
@@ -163,9 +158,12 @@ class LocalModel(Model):
         )
 
 
-def encode_options(model: Model, options: Sequence[Entity], query: str) -> tuple[np.ndarray, EncoderTape]:
+def encode_options(
+    model: Model, options: Sequence[Entity], query: str, extra_rows: Sequence[Sequence[int]] = ()
+) -> tuple[np.ndarray, EncoderTape]:
     """Pooled vectors of ``[CLS] description [SEP] query [SEP] option [SEP]``,
-    one row per option, encoded as one padded batch.
+    one row per option, then one per token sequence of ``extra_rows``, all
+    encoded as one padded batch.
     """
     if not options:
         raise ValueError("candidate set must be non-empty")
@@ -173,7 +171,11 @@ def encode_options(model: Model, options: Sequence[Entity], query: str) -> tuple
         assemble_option_sequence(e.description, query, e.canonical_name, model.vocab, model.config.max_len).tokens
         for e in options
     ]
-    ids, lengths = _pad_batch(seqs)
+    seqs.extend(extra_rows)
+    lengths = np.asarray([len(s) for s in seqs], dtype=np.int64)
+    ids = np.full((len(seqs), int(lengths.max())), PAD_ID, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        ids[i, : len(s)] = s
     return enc.encode_batch(model.enc_params, model.config, ids, lengths)
 
 
@@ -198,17 +200,20 @@ def prefixed(prefix: str, grads: Mapping[str, np.ndarray]) -> dict[str, np.ndarr
     return {f"{prefix}.{k}": v for k, v in grads.items()}
 
 
-def score_options(
-    model: LocalModel,
-    candidates: CandidateSet,
-    query: str,
-    keep_tape: bool = False,
-) -> tuple[LocalScores, ScoreTape | None]:
-    """Encode every option sequence independently and softmax the head logits."""
-    pooled, tape = encode_options(model, candidates.options, query)
-    probs = head_softmax(model.head, pooled)
-    scores = LocalScores(option_ids=candidates.option_ids, probs=probs, pooled=pooled)
-    return scores, (ScoreTape(enc_tape=tape, pooled=pooled, probs=probs) if keep_tape else None)
+def score_options(model: LocalModel, candidates: CandidateSet, query: str) -> tuple[LocalScores, ScoreTape]:
+    """Encode the option rows, plus the ``[CLS] query [SEP]`` row when the
+    verifier is on, in one batch; softmax the head logits over the option
+    rows and judge linkability from the query row.
+    """
+    extra = ()
+    if model.nil_verifier:
+        extra = (assemble_query_sequence(query, model.vocab, model.config.max_len).tokens,)
+    pooled, tape = encode_options(model, candidates.options, query, extra)
+    n = len(candidates.options)
+    judgement, hidden = nil_stage1(model, pooled[n]) if model.nil_verifier else (None, None)
+    probs = head_softmax(model.head, pooled[:n])
+    scores = LocalScores(option_ids=candidates.option_ids, probs=probs, pooled=pooled[:n], nil=judgement)
+    return scores, ScoreTape(enc_tape=tape, pooled=pooled, nil_hidden=hidden)
 
 
 def answer_loss(scores: LocalScores, gold_index: int) -> tuple[float, np.ndarray]:
@@ -216,15 +221,14 @@ def answer_loss(scores: LocalScores, gold_index: int) -> tuple[float, np.ndarray
     return enc.cross_entropy(scores.probs, gold_index)
 
 
-def nil_stage1(model: LocalModel, query: str, keep_tape: bool = False) -> tuple[NilJudgement, NilTape | None]:
-    """Sketchy read of the query alone: sigmoid(MLP(pooled([CLS] Q [SEP])))."""
-    seq = assemble_query_sequence(query, model.vocab, model.config.max_len)
-    out = enc.encode(model.enc_params, model.config, seq)
-    hidden = np.tanh(out.pooled @ model.nil["hidden_w"] + model.nil["hidden_b"])
+def nil_stage1(model: LocalModel, pooled_query: np.ndarray) -> tuple[NilJudgement, np.ndarray]:
+    """Sketchy read of the query alone: sigmoid(MLP(pooled([CLS] Q [SEP]))).
+
+    Returns the judgement and the MLP's hidden layer, which the backward reads.
+    """
+    hidden = np.tanh(pooled_query @ model.nil["hidden_w"] + model.nil["hidden_b"])
     logit = float(hidden @ model.nil["out_w"] + model.nil["out_b"][0])
-    prob = float(1.0 / (1.0 + np.exp(-logit)))
-    judgement = NilJudgement(prob=prob)
-    return judgement, (NilTape(enc_output=out, hidden=hidden, prob=prob) if keep_tape else None)
+    return NilJudgement(prob=float(1.0 / (1.0 + np.exp(-logit)))), hidden
 
 
 def nil_loss(judgement: NilJudgement, linkable: bool) -> tuple[float, float]:
@@ -240,17 +244,12 @@ def joint_local_loss(ans: float, nil: float, cfg: RunConfig) -> float:
     return cfg.alpha1 * ans + cfg.alpha2 * nil
 
 
-def local_predict(
-    scores: LocalScores,
-    judgement: NilJudgement | None,
-    nil_threshold: float = 0.5,
-    apply_override: bool = True,
-) -> str:
-    """Argmax over option probabilities; a confident unlinkable judgement overrides to NIL."""
-    selected = scores.option_ids[int(np.argmax(scores.probs))]
-    if judgement is not None and apply_override and judgement.prob < nil_threshold:
-        return NIL
-    return selected
+def local_predict(scores: LocalScores, nil_threshold: float = 0.5, apply_override: bool = True) -> tuple[str, bool]:
+    """Argmax over option probabilities, and whether a confident unlinkable
+    judgement overrode it to NIL."""
+    if scores.nil is not None and apply_override and scores.nil.prob < nil_threshold:
+        return NIL, True
+    return scores.option_ids[int(np.argmax(scores.probs))], False
 
 
 @dataclass
@@ -284,17 +283,8 @@ def run_local_pass(
             )
             continue
         scores, _ = score_options(model, cands, query)
-        nil_prob = None
-        judgement = None
-        if model.nil_verifier:
-            judgement, _ = nil_stage1(model, query)
-            nil_prob = judgement.prob
-        selected = local_predict(
-            scores, judgement, nil_threshold=cfg.nil_threshold, apply_override=cfg.nil_override
-        )
-        overridden = (
-            judgement is not None and cfg.nil_override and judgement.prob < cfg.nil_threshold
-        )
+        nil_prob = None if scores.nil is None else scores.nil.prob
+        selected, overridden = local_predict(scores, cfg.nil_threshold, cfg.nil_override)
         results.append(MentionLocalResult(m, cands, scores, nil_prob, selected, overridden))
     return results
 
@@ -316,37 +306,31 @@ def with_gold(candidates: CandidateSet, gold: Entity, k: int) -> CandidateSet:
     return CandidateSet(surface=candidates.surface, options=options, includes_nil=candidates.includes_nil)
 
 
-def _answer_backward(
-    model: LocalModel, tape: ScoreTape, dlogits: np.ndarray, scale: float
+def local_backward(
+    model: LocalModel, tape: ScoreTape, dlogits: np.ndarray, dlogit: float, cfg: RunConfig
 ) -> dict[str, np.ndarray]:
-    grads, dpooled = head_backward(model.head, tape.pooled, dlogits, scale)
+    """Gradients of ``joint_local_loss``: ``dlogits`` is the answer-loss
+    gradient w.r.t. the option logits, ``dlogit`` the NIL-loss gradient
+    w.r.t. the verifier logit (ignored with the verifier off).
+
+    The head gradient goes into the option rows and the verifier-MLP gradient
+    into the query row of one ``dpooled``, sent back in one encoder backward.
+    """
+    n = len(dlogits)
+    grads, doptions = head_backward(model.head, tape.pooled[:n], dlogits, cfg.alpha1)
+    dpooled = np.zeros_like(tape.pooled)
+    dpooled[:n] = doptions
+    hidden = tape.nil_hidden
+    if hidden is not None:
+        dlogit = dlogit * cfg.alpha2
+        dpre = (1.0 - hidden * hidden) * (dlogit * model.nil["out_w"])
+        grads["nil.out_w"] = dlogit * hidden
+        grads["nil.out_b"] = np.array([dlogit])
+        grads["nil.hidden_w"] = np.outer(tape.pooled[n], dpre)
+        grads["nil.hidden_b"] = dpre
+        dpooled[n] = model.nil["hidden_w"] @ dpre
     grads.update(prefixed("enc", enc.backprop_batch(tape.enc_tape, dpooled)))
     return grads
-
-
-def _nil_backward(model: LocalModel, tape: NilTape, dlogit: float, scale: float) -> dict[str, np.ndarray]:
-    dlogit = dlogit * scale
-    hidden = tape.hidden
-    grads = {
-        "nil.out_w": dlogit * hidden,
-        "nil.out_b": np.array([dlogit]),
-    }
-    dhidden = dlogit * model.nil["out_w"]
-    dpre = (1.0 - hidden * hidden) * dhidden
-    pooled = tape.enc_output.pooled
-    grads["nil.hidden_w"] = np.outer(pooled, dpre)
-    grads["nil.hidden_b"] = dpre
-    dpooled = model.nil["hidden_w"] @ dpre
-    grads.update(prefixed("enc", enc.backprop(tape.enc_output, dpooled)))
-    return grads
-
-
-def _accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> None:
-    for k, v in part.items():
-        if k in total:
-            total[k] = total[k] + v
-        else:
-            total[k] = v
 
 
 def optimizer_step(model: Model, optimizer: enc.Adam, grads: Mapping[str, np.ndarray]) -> None:
@@ -446,22 +430,13 @@ def train_local(
                 gold_index = cands.nil_index
             query = build_query(text, mention)
 
-            scores, tape = score_options(model, cands, query, keep_tape=True)
+            scores, tape = score_options(model, cands, query)
             l_ans, dlogits = answer_loss(scores, gold_index)
-            grads = _answer_backward(model, tape, dlogits, cfg.alpha1)
-
-            l_nil = 0.0
-            judgement = None
-            if cfg.nil_verifier:
-                judgement, nil_tape = nil_stage1(model, query, keep_tape=True)
-                l_nil, dlogit = nil_loss(judgement, linkable)
-                _accumulate(grads, _nil_backward(model, nil_tape, dlogit, cfg.alpha2))
-
+            l_nil, dlogit = (0.0, 0.0) if scores.nil is None else nil_loss(scores.nil, linkable)
+            grads = local_backward(model, tape, dlogits, dlogit, cfg)
             losses.append(joint_local_loss(l_ans, l_nil, cfg))
 
-            predicted = local_predict(
-                scores, judgement, nil_threshold=cfg.nil_threshold, apply_override=cfg.nil_override
-            )
+            predicted, _ = local_predict(scores, cfg.nil_threshold, cfg.nil_override)
             gold_label = NIL if not linkable else gold_entity.id
             n_correct += predicted == gold_label
             nil_pred += predicted == NIL
@@ -502,12 +477,31 @@ def save_model(model: Model, path: str) -> None:
     enc.save_checkpoint(path, header, model.parameters())
 
 
+def _check_encoder_sizes(path: str, config: EncoderConfig, tensors: Mapping[str, np.ndarray]) -> None:
+    """The header's sizes must match the stored embeddings and block count,
+    checked before a model of that config is allocated."""
+    blocks = {int(m.group(1)) for name in tensors if (m := re.match(r"enc\.block(\d+)\.", name))}
+    tok = tensors.get("enc.tok_emb", np.zeros(0)).shape
+    pos = tensors.get("enc.pos_emb", np.zeros(0)).shape
+    if (
+        tok != (config.vocab_size, config.d)
+        or pos != (config.max_len, config.d)
+        or len(blocks) != config.n_layers
+        or max(blocks, default=-1) != config.n_layers - 1
+    ):
+        raise ModelConfigError(
+            f"{path}: encoder config {config.to_dict()} does not match the stored embeddings "
+            f"{tok} and {pos} or blocks {sorted(blocks)}"
+        )
+
+
 def load_model(path: str, cls: type[M]) -> M:
     """Read a ``cls`` checkpoint.
 
     The file must hold exactly the tensor names and shapes of a fresh model
     of its stored config and vocabulary; any mismatch, or a bad header,
-    raises ``ModelConfigError``.
+    raises ``ModelConfigError``. The header's sizes are checked against the
+    stored embeddings and block count before that model is allocated.
     """
     header, tensors = enc.load_checkpoint(path)
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT or header.get("kind") != cls.KIND:
@@ -520,6 +514,7 @@ def load_model(path: str, cls: type[M]) -> M:
     try:
         config = EncoderConfig.from_dict(header["encoder_config"])
         vocab = Vocabulary({t: int(i) for t, i in header["vocab"].items()})
+        _check_encoder_sizes(path, config, tensors)
         model = cls.init(config, vocab, **settings)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ModelConfigError(f"{path}: bad checkpoint header: {exc!r}") from exc

@@ -21,7 +21,6 @@ from .local import (
     LocalModel,
     MentionLocalResult,
     Model,
-    _accumulate,
     _resolve_gold,
     check_vocab,
     encode_options,
@@ -120,23 +119,6 @@ def gate_fuse_batch(
         cache = {"v": v, "h": h, "fused": fused, "cat_vh": cat_vh}
         return GateFusion(fused=fused, update_gate=None, fusion=None, keep_gate=None, _cache=cache)
     raise ValueError(f"unknown gate mode {mode!r}")
-
-
-def gate_fuse(
-    current: np.ndarray,
-    history: np.ndarray,
-    gate: Mapping[str, np.ndarray],
-    mode: str = "gated",
-) -> GateFusion:
-    """Single-vector convenience wrapper around ``gate_fuse_batch``."""
-    out = gate_fuse_batch(current[None, :], history, gate, mode)
-    return GateFusion(
-        fused=out.fused[0],
-        update_gate=None if out.update_gate is None else out.update_gate[0],
-        fusion=None if out.fusion is None else out.fusion[0],
-        keep_gate=None if out.keep_gate is None else out.keep_gate[0],
-        _cache=out._cache,
-    )
 
 
 def gate_backward(
@@ -271,9 +253,6 @@ class GlobalScores:
 class GlobalTape:
     enc_tape: EncoderTape
     gate_fusion: GateFusion
-    raw: np.ndarray
-    fused: np.ndarray
-    probs: np.ndarray
 
 
 def encode_option_vector(model: GlobalModel, entity: Entity, query: str) -> np.ndarray:
@@ -286,16 +265,13 @@ def global_score_mention(
     candidates: CandidateSet,
     query: str,
     history: np.ndarray,
-    keep_tape: bool = False,
-) -> tuple[GlobalScores, GlobalTape | None]:
+) -> tuple[GlobalScores, GlobalTape]:
     """Encode options against the updated query, fuse with history, and softmax."""
     raw, tape = encode_options(model, candidates.options, query)
     fusion = gate_fuse_batch(raw, history, model.gate, model.gate_mode)
     probs = head_softmax(model.head, fusion.fused)
     scores = GlobalScores(option_ids=candidates.option_ids, probs=probs, raw=raw, fused=fusion.fused)
-    if not keep_tape:
-        return scores, None
-    return scores, GlobalTape(enc_tape=tape, gate_fusion=fusion, raw=raw, fused=fusion.fused, probs=probs)
+    return scores, GlobalTape(enc_tape=tape, gate_fusion=fusion)
 
 
 def global_loss(scores: GlobalScores, gold_index: int) -> tuple[float, np.ndarray]:
@@ -307,7 +283,7 @@ def global_backward(
     model: GlobalModel, tape: GlobalTape, dlogits: np.ndarray, scale: float = 1.0
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Backward through head, gate, and encoder; also returns the history gradient."""
-    grads, dfused = head_backward(model.head, tape.fused, dlogits, scale)
+    grads, dfused = head_backward(model.head, tape.gate_fusion.fused, dlogits, scale)
     draw, dhistory, gate_grads = gate_backward(tape.gate_fusion, dfused, model.gate, model.gate_mode)
     grads.update(prefixed("gate", gate_grads))
     grads.update(prefixed("enc", enc.backprop_batch(tape.enc_tape, draw)))
@@ -484,11 +460,12 @@ def train_global(
                     query = build_query(text, mention)
                 else:
                     query = update_query(text, mention, linked)
-                scores, tape = global_score_mention(model, cands, query, history, keep_tape=True)
+                scores, tape = global_score_mention(model, cands, query, history)
                 loss, dlogits = global_loss(scores, gold_index)
                 turn_losses.append(loss)
                 grads, _ = global_backward(model, tape, dlogits)
-                _accumulate(turn_grads, grads)
+                for name, g in grads.items():
+                    turn_grads[name] = turn_grads[name] + g if name in turn_grads else g
 
                 n_scored += 1
                 n_correct += int(np.argmax(scores.probs)) == gold_index

@@ -27,13 +27,11 @@ from mrclink.kb import (
 from mrclink.corpus import AnnotatedText, Mention
 from mrclink.local import (
     LocalModel,
-    _answer_backward,
-    _nil_backward,
     answer_loss,
     build_vocabulary,
     joint_local_loss,
+    local_backward,
     nil_loss,
-    nil_stage1,
     score_options,
     train_local,
 )
@@ -162,12 +160,13 @@ def test_criterion_2_gradient_suite():
 
             # NIL stage-1 BCE through the verifier MLP and encoder
             def nil_loss_fn():
-                j, _ = nil_stage1(model, query)
-                return nil_loss(j, True)[0]
+                s, _ = score_options(model, cands, query)
+                return nil_loss(s.nil, True)[0]
 
-            judgement, ntape = nil_stage1(model, query, keep_tape=True)
-            _, dlogit = nil_loss(judgement, True)
-            nil_grads = _nil_backward(model, ntape, dlogit, scale=1.0)
+            scores, tape = score_options(model, cands, query)
+            _, dlogit = nil_loss(scores.nil, True)
+            nil_only = RunConfig(alpha1=0.0, alpha2=1.0)
+            nil_grads = local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only)
             n, bad = _fd_check(nil_loss_fn, model.parameters(), nil_grads, rng, cap=40)
             assert not bad, bad[:3]
             total += n
@@ -176,17 +175,13 @@ def test_criterion_2_gradient_suite():
             def local_loss_fn():
                 scores, _ = score_options(model, cands, query)
                 l_ans, _ = answer_loss(scores, gold)
-                j, _ = nil_stage1(model, query)
-                l_nil, _ = nil_loss(j, True)
+                l_nil, _ = nil_loss(scores.nil, True)
                 return joint_local_loss(l_ans, l_nil, cfg)
 
-            scores, tape = score_options(model, cands, query, keep_tape=True)
+            scores, tape = score_options(model, cands, query)
             _, dl = answer_loss(scores, gold)
-            grads = _answer_backward(model, tape, dl, cfg.alpha1)
-            judgement, ntape = nil_stage1(model, query, keep_tape=True)
-            _, dlogit = nil_loss(judgement, True)
-            for k, v in _nil_backward(model, ntape, dlogit, cfg.alpha2).items():
-                grads[k] = grads.get(k, 0) + v
+            _, dlogit = nil_loss(scores.nil, True)
+            grads = local_backward(model, tape, dl, dlogit, cfg)
             n, bad = _fd_check(local_loss_fn, model.parameters(), grads, rng, cap=60)
             assert not bad, bad[:3]
             total += n
@@ -199,7 +194,7 @@ def test_criterion_2_gradient_suite():
                 s, _ = global_score_mention(gmodel, cands, query, history)
                 return global_loss(s, gold)[0]
 
-            gscores, gtape = global_score_mention(gmodel, cands, query, history, keep_tape=True)
+            gscores, gtape = global_score_mention(gmodel, cands, query, history)
             _, gdl = global_loss(gscores, gold)
             ggrads, dhistory = global_backward(gmodel, gtape, gdl)
             n, bad = _fd_check(global_loss_fn, gmodel.parameters(), ggrads, rng, cap=60)

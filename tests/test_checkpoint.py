@@ -1,22 +1,27 @@
 """Checkpoint codec: round trip and rejection of files that do not match their model."""
+import time
+
 import numpy as np
 import pytest
 
 from mrclink import encoder as enc
+from mrclink.cli import main
 from mrclink.encoder import EncoderConfig
 from mrclink.errors import ModelConfigError
-from mrclink.kb import Entity, KnowledgeBase
-from mrclink.corpus import AnnotatedText, Mention
+from mrclink.kb import Entity, KnowledgeBase, save_kb
+from mrclink.corpus import AnnotatedText, Mention, save_corpus
 from mrclink.local import LocalModel, build_vocabulary, load_model, save_model
 from mrclink.multiturn import GlobalModel
 
 KINDS = {"local": LocalModel, "global": GlobalModel}
 
 
+KB = KnowledgeBase([Entity("e1", "alpha sport", "alpha ball game", ("alpha",), 3)])
+CORPUS = [AnnotatedText("alpha kicks", (Mention(0, 5, "alpha", "e1"),))]
+
+
 def make_model(kind):
-    kb = KnowledgeBase([Entity("e1", "alpha sport", "alpha ball game", ("alpha",), 3)])
-    corpus = [AnnotatedText("alpha kicks", (Mention(0, 5, "alpha", "e1"),))]
-    vocab = build_vocabulary(corpus, kb)
+    vocab = build_vocabulary(CORPUS, KB)
     local = LocalModel.init(EncoderConfig(vocab_size=len(vocab), max_len=16, d=4, n_layers=1, n_heads=2), vocab)
     return local if kind == "local" else GlobalModel.from_local(local, max_len=20, gate_mode="concat")
 
@@ -77,6 +82,14 @@ def _bad_setting(header, tensors):
     header["nil_verifier"] = "yes"
 
 
+def _huge_width(header, tensors):
+    header["encoder_config"]["d"] = 2**40
+
+
+def _huge_depth(header, tensors):
+    header["encoder_config"]["n_layers"] = 10**9
+
+
 CORRUPTIONS = [
     _drop_head_weight,
     _add_tensor,
@@ -86,6 +99,8 @@ CORRUPTIONS = [
     _drop_encoder_config,
     _gap_in_vocabulary,
     _bad_setting,
+    _huge_width,
+    _huge_depth,
 ]
 
 
@@ -114,3 +129,20 @@ def test_unknown_global_mode_rejected(mode, tmp_path):
     enc.save_checkpoint(str(path), header, tensors)
     with pytest.raises(ModelConfigError):
         load_model(str(path), GlobalModel)
+
+
+@pytest.mark.parametrize("corrupt", [_huge_width, _huge_depth], ids=lambda f: f.__name__.strip("_"))
+def test_link_refuses_oversized_header_before_allocating(corrupt, tmp_path, capsys):
+    path, header, tensors = saved("local", tmp_path)
+    corrupt(header, tensors)
+    enc.save_checkpoint(str(path), header, tensors)
+    save_kb(KB, str(tmp_path / "kb.jsonl"))
+    save_corpus(CORPUS, str(tmp_path / "corpus.jsonl"))
+    start = time.perf_counter()
+    rc = main([
+        "link", "--kb", str(tmp_path / "kb.jsonl"), "--corpus", str(tmp_path / "corpus.jsonl"),
+        "--local-model", str(path), "--out", str(tmp_path / "dec.jsonl"),
+    ])
+    assert rc == 3
+    assert time.perf_counter() - start < 1.0
+    assert "does not match the stored embeddings" in capsys.readouterr().err

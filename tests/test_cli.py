@@ -149,3 +149,21 @@ def test_overlong_text_exits_2(workdir, untrained_local, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "max_len=48" in err
+
+
+@pytest.mark.parametrize("command,flag", [("eval", "--corpus"), ("link", "--out"), ("link", "--local-model")])
+def test_directory_for_a_file_exits_2(command, flag, workdir, untrained_local, tmp_path, capsys):
+    args = {
+        "eval": {"--corpus": workdir / "test.jsonl", "--decisions": workdir / "dec.jsonl"},
+        "link": {
+            "--kb": workdir / "kb.jsonl",
+            "--corpus": workdir / "test.jsonl",
+            "--local-model": untrained_local,
+            "--config": workdir / "cfg.json",
+            "--out": tmp_path / "dec.jsonl",
+        },
+    }[command]
+    args[flag] = tmp_path
+    rc = main([command] + [str(part) for pair in args.items() for part in pair])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -1,6 +1,8 @@
 """Reference encoder: forward oracle, exact gradients, Adam, checkpoints."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from mrclink import encoder as enc
@@ -9,9 +11,7 @@ from mrclink.encoder import (
     Adam,
     EncoderConfig,
     adam_step,
-    backprop,
     backprop_batch,
-    encode,
     encode_batch,
     init_adam_state,
     init_params,
@@ -25,6 +25,12 @@ from mrclink.errors import ModelConfigError
 
 def grad_close(a, b, rtol=1e-4, atol=1e-8):
     return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
+
+
+def encode_row(params, cfg, tokens):
+    """One sequence as a 1-row batch: its pooled vector and the tape."""
+    pooled, tape = encode_batch(params, cfg, np.array([tokens]))
+    return pooled[0], tape
 
 
 def fd_grad(loss_fn, arr, i, h=1e-4):
@@ -43,8 +49,8 @@ class TestForward:
         cfg = EncoderConfig(vocab_size=11, max_len=10, d=8, n_layers=2, n_heads=2, seed=3)
         params = init_params(cfg)
         seq = [2, 5, 6, 7, 3]
-        a = encode(params, cfg, seq).pooled
-        b = encode(params, cfg, seq).pooled
+        a, _ = encode_row(params, cfg, seq)
+        b, _ = encode_row(params, cfg, seq)
         assert a.tobytes() == b.tobytes()
 
     def test_zero_params_give_constant_pooled(self):
@@ -52,8 +58,8 @@ class TestForward:
         params = {k: np.zeros_like(v) for k, v in init_params(cfg).items()}
         params["block0.ln1_g"] = np.ones(4)
         params["block0.ln2_g"] = np.ones(4)
-        out1 = encode(params, cfg, [2, 4, 3]).pooled
-        out2 = encode(params, cfg, [2, 5, 3]).pooled
+        out1, _ = encode_row(params, cfg, [2, 4, 3])
+        out2, _ = encode_row(params, cfg, [2, 5, 3])
         assert out1.tobytes() == out2.tobytes()
         assert np.all(np.isfinite(out1))
 
@@ -84,7 +90,7 @@ class TestForward:
         cfg = EncoderConfig(vocab_size=12, max_len=6, d=8, n_layers=1, n_heads=2, seed=17)
         params = init_params(cfg)
         token = 7
-        pooled = encode(params, cfg, [token]).pooled
+        pooled, _ = encode_row(params, cfg, [token])
 
         x = params["tok_emb"][token] + params["pos_emb"][0]
 
@@ -121,32 +127,32 @@ class TestForward:
         cfg = EncoderConfig(vocab_size=5, max_len=8, d=4, n_layers=1, n_heads=2)
         params = init_params(cfg)
         with pytest.raises(ValueError):
-            encode(params, cfg, [2, 5, 3])
+            encode_row(params, cfg, [2, 5, 3])
 
     def test_over_length_sequence_rejected(self):
         cfg = EncoderConfig(vocab_size=5, max_len=3, d=4, n_layers=1, n_heads=2)
         params = init_params(cfg)
         with pytest.raises(ValueError):
-            encode(params, cfg, [2, 1, 1, 3])
+            encode_row(params, cfg, [2, 1, 1, 3])
 
 
 class TestBackprop:
     def test_zero_pooled_grad_gives_zero_parameter_grads(self):
         cfg = EncoderConfig(vocab_size=9, max_len=8, d=8, n_layers=1, n_heads=2, seed=2)
         params = init_params(cfg)
-        out = encode(params, cfg, [2, 5, 6, 3])
-        grads = backprop(out, np.zeros(8))
+        _, tape = encode_row(params, cfg, [2, 5, 6, 3])
+        grads = backprop_batch(tape, np.zeros((1, 8)))
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_linearity_in_pooled_grad(self):
         cfg = EncoderConfig(vocab_size=9, max_len=8, d=8, n_layers=1, n_heads=2, seed=2)
         params = init_params(cfg)
-        out = encode(params, cfg, [2, 5, 6, 3])
+        _, tape = encode_row(params, cfg, [2, 5, 6, 3])
         rng = np.random.default_rng(3)
-        g1, g2 = rng.normal(size=8), rng.normal(size=8)
-        sum_grads = backprop(out, g1 + g2)
-        a = backprop(out, g1)
-        b = backprop(out, g2)
+        g1, g2 = rng.normal(size=(1, 8)), rng.normal(size=(1, 8))
+        sum_grads = backprop_batch(tape, g1 + g2)
+        a = backprop_batch(tape, g1)
+        b = backprop_batch(tape, g2)
         for name in sum_grads:
             np.testing.assert_allclose(sum_grads[name], a[name] + b[name], rtol=1e-12, atol=1e-12)
 
@@ -177,9 +183,48 @@ class TestBackprop:
     def test_mismatched_pooled_grad_shape_rejected(self):
         cfg = EncoderConfig(vocab_size=9, max_len=8, d=8, n_layers=1, n_heads=2)
         params = init_params(cfg)
-        out = encode(params, cfg, [2, 3])
+        _, tape = encode_row(params, cfg, [2, 3])
         with pytest.raises(ValueError):
-            backprop(out, np.zeros(4))
+            backprop_batch(tape, np.zeros((1, 4)))
+
+
+BATCH_CFG = EncoderConfig(vocab_size=13, max_len=10, d=8, n_layers=2, n_heads=2, seed=7)
+BATCH_PARAMS = init_params(BATCH_CFG)
+
+
+class TestBatchedEqualsPerRow:
+    """A padded batch is the sum of its rows: each pooled row and the summed
+    gradients match the rows encoded one at a time."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.integers(0, BATCH_CFG.vocab_size - 1), min_size=1, max_size=BATCH_CFG.max_len),
+            min_size=1,
+            max_size=6,
+        ),
+        pad=st.integers(0, BATCH_CFG.vocab_size - 1),
+        grad_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_and_gradients_match_per_row_encoding(self, rows, pad, grad_seed):
+        cfg, params = BATCH_CFG, BATCH_PARAMS
+        lengths = np.array([len(r) for r in rows])
+        ids = np.full((len(rows), lengths.max()), pad)
+        for i, r in enumerate(rows):
+            ids[i, : len(r)] = r
+        pooled_grad = np.random.default_rng(grad_seed).normal(size=(len(rows), cfg.d))
+
+        pooled, tape = encode_batch(params, cfg, ids, lengths)
+        grads = backprop_batch(tape, pooled_grad)
+
+        summed = {name: np.zeros_like(p) for name, p in params.items()}
+        for i, r in enumerate(rows):
+            row_pooled, row_tape = encode_row(params, cfg, r)
+            np.testing.assert_allclose(pooled[i], row_pooled, rtol=0, atol=1e-12)
+            for name, g in backprop_batch(row_tape, pooled_grad[i : i + 1]).items():
+                summed[name] += g
+        for name in params:
+            np.testing.assert_allclose(grads[name], summed[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestInit:

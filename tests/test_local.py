@@ -13,21 +13,22 @@ from mrclink.local import (
     LocalModel,
     LocalScores,
     NilJudgement,
-    _answer_backward,
-    _nil_backward,
     answer_loss,
     build_vocabulary,
     joint_local_loss,
     load_model,
+    local_backward,
     local_predict,
     nil_loss,
     nil_stage1,
+    run_local_pass,
     save_model,
     score_options,
     train_local,
     with_gold,
 )
-from mrclink.corpus import AnnotatedText, Mention
+from mrclink import encoder as enc
+from mrclink.corpus import AnnotatedText, Mention, assemble_query_sequence
 from mrclink.encoder import softmax
 
 
@@ -140,22 +141,26 @@ class TestAnswerLoss:
             assert grad[i] == pytest.approx(fd, abs=1e-8)
 
 
+def alpha_cands(kb):
+    return generate_candidates(build_index(kb), "alpha", 5, with_nil=True)
+
+
 class TestNilVerifier:
     def test_zero_logit_gives_half(self):
         kb, corpus = tiny_world()
         model = tiny_model(kb, corpus)
         model.nil["out_w"] = np.zeros_like(model.nil["out_w"])
         model.nil["out_b"] = np.zeros(1)
-        judgement, _ = nil_stage1(model, "[MASK] kicks ball game")
-        assert judgement.prob == pytest.approx(0.5, abs=1e-12)
+        scores, _ = score_options(model, alpha_cands(kb), "[MASK] kicks ball game")
+        assert scores.nil.prob == pytest.approx(0.5, abs=1e-12)
 
     def test_saturated_logit(self):
         kb, corpus = tiny_world()
         model = tiny_model(kb, corpus)
         model.nil["out_w"] = np.zeros_like(model.nil["out_w"])
         model.nil["out_b"] = np.array([20.0])
-        judgement, _ = nil_stage1(model, "[MASK] kicks ball game")
-        assert judgement.prob > 0.9999
+        scores, _ = score_options(model, alpha_cands(kb), "[MASK] kicks ball game")
+        assert scores.nil.prob > 0.9999
 
     def test_bce_values(self):
         assert nil_loss(NilJudgement(0.5), True)[0] == pytest.approx(math.log(2), abs=1e-12)
@@ -175,15 +180,17 @@ class TestNilVerifier:
     def test_mlp_gradients_match_finite_differences(self):
         kb, corpus = tiny_world()
         model = tiny_model(kb, corpus)
+        cands = alpha_cands(kb)
         query = "[MASK] kicks ball game"
 
         def loss_fn():
-            j, _ = nil_stage1(model, query)
-            return nil_loss(j, True)[0]
+            scores, _ = score_options(model, cands, query)
+            return nil_loss(scores.nil, True)[0]
 
-        judgement, tape = nil_stage1(model, query, keep_tape=True)
-        _, dlogit = nil_loss(judgement, True)
-        grads = _nil_backward(model, tape, dlogit, scale=1.0)
+        scores, tape = score_options(model, cands, query)
+        _, dlogit = nil_loss(scores.nil, True)
+        nil_only = RunConfig(alpha1=0.0, alpha2=1.0)
+        grads = local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only)
         h = 1e-5
         for group, name in (("nil", "hidden_w"), ("nil", "hidden_b"), ("nil", "out_w"), ("nil", "out_b")):
             arr = getattr(model, group)[name]
@@ -212,24 +219,25 @@ class TestJointLoss:
 
 class TestLocalPredict:
     def test_argmax_selects_nil_option(self):
-        scores = LocalScores(("e1", "e2", NIL), np.array([0.1, 0.2, 0.7]), np.zeros((3, 2)))
-        assert local_predict(scores, NilJudgement(0.9)) == NIL
+        scores = LocalScores(("e1", "e2", NIL), np.array([0.1, 0.2, 0.7]), np.zeros((3, 2)), NilJudgement(0.9))
+        assert local_predict(scores) == (NIL, False)
 
     def test_stage_one_override(self):
-        scores = LocalScores(("e1", "e2", NIL), np.array([0.8, 0.1, 0.1]), np.zeros((3, 2)))
-        assert local_predict(scores, NilJudgement(0.2), nil_threshold=0.5) == NIL
+        scores = LocalScores(("e1", "e2", NIL), np.array([0.8, 0.1, 0.1]), np.zeros((3, 2)), NilJudgement(0.2))
+        assert local_predict(scores, nil_threshold=0.5) == (NIL, True)
+        assert local_predict(scores, nil_threshold=0.5, apply_override=False) == ("e1", False)
 
     def test_confident_judgement_keeps_argmax(self):
-        scores = LocalScores(("e1", "e2", NIL), np.array([0.8, 0.1, 0.1]), np.zeros((3, 2)))
-        assert local_predict(scores, NilJudgement(0.9)) == "e1"
+        scores = LocalScores(("e1", "e2", NIL), np.array([0.8, 0.1, 0.1]), np.zeros((3, 2)), NilJudgement(0.9))
+        assert local_predict(scores) == ("e1", False)
 
     def test_without_verifier_is_plain_argmax(self):
         scores = LocalScores(("e1", "e2"), np.array([0.4, 0.6]), np.zeros((2, 2)))
-        assert local_predict(scores, None) == "e2"
+        assert local_predict(scores) == ("e2", False)
 
     def test_tie_breaks_by_candidate_order(self):
         scores = LocalScores(("e1", "e2"), np.array([0.5, 0.5]), np.zeros((2, 2)))
-        assert local_predict(scores, None) == "e1"
+        assert local_predict(scores) == ("e1", False)
 
 
 class TestGoldInjection:
@@ -272,17 +280,13 @@ class TestJointGradients:
         def loss_fn():
             scores, _ = score_options(model, cands, query)
             l_ans, _ = answer_loss(scores, gold_index)
-            judgement, _ = nil_stage1(model, query)
-            l_nil, _ = nil_loss(judgement, True)
+            l_nil, _ = nil_loss(scores.nil, True)
             return joint_local_loss(l_ans, l_nil, cfg)
 
-        scores, tape = score_options(model, cands, query, keep_tape=True)
+        scores, tape = score_options(model, cands, query)
         _, dlogits = answer_loss(scores, gold_index)
-        grads = _answer_backward(model, tape, dlogits, cfg.alpha1)
-        judgement, ntape = nil_stage1(model, query, keep_tape=True)
-        _, dlogit = nil_loss(judgement, True)
-        for k, v in _nil_backward(model, ntape, dlogit, cfg.alpha2).items():
-            grads[k] = grads.get(k, 0) + v
+        _, dlogit = nil_loss(scores.nil, True)
+        grads = local_backward(model, tape, dlogits, dlogit, cfg)
 
         rng = np.random.default_rng(0)
         flat_params = model.parameters()
@@ -300,6 +304,65 @@ class TestJointGradients:
                 flat[i] = orig
                 fd = (up - dn) / (2 * h)
                 assert abs(fd - gflat[i]) <= 1e-8 + 1e-4 * max(abs(fd), abs(gflat[i])), (name, i)
+
+
+def counting(monkeypatch, name):
+    """Wrap ``encoder.<name>`` so every call through the module is counted."""
+    calls = []
+    original = getattr(enc, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(enc, name, wrapper)
+    return calls
+
+
+class TestQueryRowRidesAlong:
+    """The verifier's ``[CLS] query [SEP]`` row shares the option rows' batch
+    without changing what the option rows compute."""
+
+    def test_option_probabilities_bitwise_equal_without_verifier(self):
+        kb, corpus = tiny_world()
+        model = tiny_model(kb, corpus, seed=4)
+        plain = replace(model, nil_verifier=False)
+        cands = alpha_cands(kb)
+        for query in ("[MASK] kicks ball game", "what [MASK] does", "[MASK]"):
+            with_row, _ = score_options(model, cands, query)
+            without, _ = score_options(plain, cands, query)
+            assert with_row.probs.tobytes() == without.probs.tobytes()
+            assert with_row.pooled.tobytes() == without.pooled.tobytes()
+            assert without.nil is None
+
+    def test_nil_probability_matches_query_row_encoded_alone(self):
+        kb, corpus = tiny_world()
+        model = tiny_model(kb, corpus, seed=5)
+        cands = alpha_cands(kb)
+        for query in ("[MASK] kicks ball game", "alpha sings [MASK] tune", "[MASK]"):
+            scores, _ = score_options(model, cands, query)
+            seq = assemble_query_sequence(query, model.vocab, model.config.max_len)
+            pooled, _ = enc.encode_batch(model.enc_params, model.config, np.array([seq.tokens]))
+            alone, _ = nil_stage1(model, pooled[0])
+            assert abs(scores.nil.prob - alone.prob) <= 1e-12
+
+    def test_one_encoder_batch_per_mention(self, monkeypatch):
+        kb, _ = tiny_world()
+        text = AnnotatedText(
+            "alpha met beta near alpha",
+            (Mention(0, 5, "alpha"), Mention(10, 14, "beta"), Mention(20, 25, "alpha")),
+        )
+        model = tiny_model(kb, [text])
+        calls = counting(monkeypatch, "encode_batch")
+        results = run_local_pass(model, text, build_index(kb), small_cfg())
+        assert len(results) == 3 and all(r.nil_prob is not None for r in results)
+        assert len(calls) == 3
+
+    def test_one_encoder_backward_per_training_step(self, monkeypatch):
+        kb, corpus = tiny_world()
+        calls = counting(monkeypatch, "backprop_batch")
+        train_local(corpus, kb, small_cfg(epochs_local=2))
+        assert len(calls) == 2 * len(corpus)
 
 
 def small_cfg(seed=0, **kw):

@@ -13,7 +13,6 @@ from mrclink.local import LocalModel, build_vocabulary, run_local_pass
 from mrclink.multiturn import (
     GlobalModel,
     gate_backward,
-    gate_fuse,
     gate_fuse_batch,
     global_backward,
     global_loss,
@@ -79,15 +78,15 @@ class TestGateFuse:
         rng = np.random.default_rng(2)
         h = rng.normal(size=d)
         v = rng.normal(size=d)
-        out = gate_fuse(v, h, zero_gate(d))
+        out = gate_fuse_batch(v[None, :], h, zero_gate(d))
         np.testing.assert_allclose(out.update_gate, 0.5, atol=1e-15)
         np.testing.assert_allclose(out.fusion, 0.0, atol=1e-15)
         np.testing.assert_allclose(out.keep_gate, 0.5, atol=1e-15)
-        np.testing.assert_allclose(out.fused, 0.5 * h, atol=1e-12)
+        np.testing.assert_allclose(out.fused[0], 0.5 * h, atol=1e-12)
 
     def test_zero_history_zero_parameters(self):
         d = 4
-        out = gate_fuse(np.ones(d), np.zeros(d), zero_gate(d))
+        out = gate_fuse_batch(np.ones((1, d)), np.zeros(d), zero_gate(d))
         np.testing.assert_allclose(out.fused, 0.0, atol=1e-15)
 
     def test_matches_straight_line_recomputation_d2(self):
@@ -96,7 +95,7 @@ class TestGateFuse:
         gate = init_gate_params(d, seed=7)
         v = rng.normal(size=d)
         h = rng.normal(size=d)
-        out = gate_fuse(v, h, gate)
+        out = gate_fuse_batch(v[None, :], h, gate)
 
         def sig(x):
             return 1.0 / (1.0 + np.exp(-x))
@@ -106,10 +105,10 @@ class TestGateFuse:
         f = np.tanh(gate["fuse_w"] @ np.concatenate([u * h, v]))
         g = sig(gate["keep_cur_w"] @ v + gate["keep_hist_w"] @ h)
         expect = g * f + (1.0 - g) * h
-        np.testing.assert_allclose(out.update_gate, u, atol=1e-12)
-        np.testing.assert_allclose(out.fusion, f, atol=1e-12)
-        np.testing.assert_allclose(out.keep_gate, g, atol=1e-12)
-        np.testing.assert_allclose(out.fused, expect, atol=1e-12)
+        np.testing.assert_allclose(out.update_gate[0], u, atol=1e-12)
+        np.testing.assert_allclose(out.fusion[0], f, atol=1e-12)
+        np.testing.assert_allclose(out.keep_gate[0], g, atol=1e-12)
+        np.testing.assert_allclose(out.fused[0], expect, atol=1e-12)
 
     def test_convex_combination_bound_and_ranges(self):
         rng = np.random.default_rng(3)
@@ -132,21 +131,21 @@ class TestGateFuse:
         d = 5
         gate = init_gate_params(d, seed=11)
         v = np.random.default_rng(4).normal(size=d)
-        out = gate_fuse(v, np.zeros(d), gate)
+        out = gate_fuse_batch(v[None, :], np.zeros(d), gate)
 
         def sig(x):
             return 1.0 / (1.0 + np.exp(-x))
 
         g = sig(gate["keep_cur_w"] @ v)
         f = np.tanh(gate["fuse_w"] @ np.concatenate([np.zeros(d), v]))
-        np.testing.assert_allclose(out.fused, g * f, atol=1e-12)
+        np.testing.assert_allclose(out.fused[0], g * f, atol=1e-12)
 
     def test_gru_like_is_rejected(self):
         d = 4
         with pytest.raises(InputFormatError):
             RunConfig(gate_mode="gru_like")
         with pytest.raises(ValueError):
-            gate_fuse(np.zeros(d), np.zeros(d), zero_gate(d), mode="gru_like")
+            gate_fuse_batch(np.zeros((1, d)), np.zeros(d), zero_gate(d), mode="gru_like")
 
     def test_concat_mode_forward_and_backward(self):
         rng = np.random.default_rng(5)
@@ -265,7 +264,7 @@ class TestGlobalScoring:
         glob.gate["keep_hist_w"] = -1e4 * np.eye(d)
         index = build_index(kb)
         cands = generate_candidates(index, "alpha", 5, with_nil=True)
-        scores, tape = global_score_mention(glob, cands, "[MASK] meets beta", history, keep_tape=True)
+        scores, tape = global_score_mention(glob, cands, "[MASK] meets beta", history)
         for j in range(len(cands.options)):
             np.testing.assert_allclose(tape.gate_fusion.fused[j], history, atol=1e-12)
         np.testing.assert_allclose(scores.probs, 1.0 / len(cands.options), atol=1e-12)
@@ -289,7 +288,7 @@ class TestGlobalScoring:
         logits = []
         for ent in cands.options:
             seq = assemble_option_sequence(ent.description, query, ent.canonical_name, glob.vocab, 32)
-            v = enc.encode(glob.enc_params, glob.config, seq).pooled
+            v = enc.encode_batch(glob.enc_params, glob.config, np.array([seq.tokens]))[0][0]
             u = sig(glob.gate["update_w"] @ np.concatenate([v, history]))
             f = np.tanh(glob.gate["fuse_w"] @ np.concatenate([u * history, v]))
             g = sig(glob.gate["keep_cur_w"] @ v + glob.gate["keep_hist_w"] @ history)
@@ -323,7 +322,7 @@ class TestGlobalScoring:
             scores, _ = global_score_mention(glob, cands, query, history)
             return global_loss(scores, gold)[0]
 
-        scores, tape = global_score_mention(glob, cands, query, history, keep_tape=True)
+        scores, tape = global_score_mention(glob, cands, query, history)
         _, dlogits = global_loss(scores, gold)
         grads, dhistory = global_backward(glob, tape, dlogits)
 
