@@ -5,7 +5,14 @@ token + positional embeddings, then per block (multi-head self-attention,
 residual, layer norm, GELU feed-forward, residual, layer norm); the pooled
 output is the hidden state at position 0.
 
-Shapes: (B, T, D) = batch, sequence, model width; (B, H, T, dh) per head.
+Shapes: (B, T, D) = batch, sequence, model width on the key/value side,
+(B, Tq, D) on the query side; (B, H, T, dh) and (B, H, Tq, dh) per head.
+Every block but the last has Tq = T, because all its positions feed the next
+block's keys and values. The last block runs its queries, attention output,
+layer norms and feed-forward at position 0 only (Tq = 1): the pooled vector is
+all that leaves the encoder, and no other position of the last block reaches
+it. Its keys and values still cover all T positions.
+
 Parameters are immutable during a forward/backward pair; independent
 sequences may be encoded in parallel, and gradient accumulation sums in a
 fixed order for bitwise reproducibility.
@@ -66,55 +73,38 @@ class EncoderConfig:
         return cls(**{k: int(d[k]) for k in ("vocab_size", "max_len", "d", "n_layers", "n_heads", "seed")})
 
 
-def _block_param_names(i: int) -> list[str]:
-    p = f"block{i}."
-    return [
-        p + "wq", p + "bq", p + "wk", p + "bk", p + "wv", p + "bv",
-        p + "wo", p + "bo", p + "ln1_g", p + "ln1_b",
-        p + "ffn_w1", p + "ffn_b1", p + "ffn_w2", p + "ffn_b2",
-        p + "ln2_g", p + "ln2_b",
-    ]
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter tensor, in declaration order, without allocating."""
+    d, dff = config.d, config.d_ff
+    shapes: dict[str, tuple[int, ...]] = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.max_len, d)}
+    for i in range(config.n_layers):
+        p = f"block{i}."
+        for name in ("q", "k", "v", "o"):
+            shapes[p + "w" + name] = (d, d)
+            shapes[p + "b" + name] = (d,)
+        shapes[p + "ln1_g"] = shapes[p + "ln1_b"] = (d,)
+        shapes[p + "ffn_w1"], shapes[p + "ffn_b1"] = (d, dff), (dff,)
+        shapes[p + "ffn_w2"], shapes[p + "ffn_b2"] = (dff, d), (d,)
+        shapes[p + "ln2_g"] = shapes[p + "ln2_b"] = (d,)
+    return shapes
 
 
 def param_names(config: EncoderConfig) -> list[str]:
     """Declaration order of all parameter tensors."""
-    names = ["tok_emb", "pos_emb"]
-    for i in range(config.n_layers):
-        names.extend(_block_param_names(i))
-    return names
+    return list(param_shapes(config))
 
 
 def init_params(config: EncoderConfig) -> dict[str, np.ndarray]:
-    """Seeded init: uniform +-1/sqrt(d) weights, zero biases, unit layer-norm gains."""
+    """Seeded init: uniform +-1/sqrt(d) weights, zero biases, unit layer-norm
+    gains; weights draw from one generator in declaration order."""
     rng = np.random.default_rng(config.seed)
-    d, dff = config.d, config.d_ff
-    bound = 1.0 / np.sqrt(d)
-
-    def uni(*shape: int) -> np.ndarray:
-        return rng.uniform(-bound, bound, size=shape)
-
-    params: dict[str, np.ndarray] = {
-        "tok_emb": uni(config.vocab_size, d),
-        "pos_emb": uni(config.max_len, d),
-    }
-    for i in range(config.n_layers):
-        p = f"block{i}."
-        params[p + "wq"] = uni(d, d)
-        params[p + "bq"] = np.zeros(d)
-        params[p + "wk"] = uni(d, d)
-        params[p + "bk"] = np.zeros(d)
-        params[p + "wv"] = uni(d, d)
-        params[p + "bv"] = np.zeros(d)
-        params[p + "wo"] = uni(d, d)
-        params[p + "bo"] = np.zeros(d)
-        params[p + "ln1_g"] = np.ones(d)
-        params[p + "ln1_b"] = np.zeros(d)
-        params[p + "ffn_w1"] = uni(d, dff)
-        params[p + "ffn_b1"] = np.zeros(dff)
-        params[p + "ffn_w2"] = uni(dff, d)
-        params[p + "ffn_b2"] = np.zeros(d)
-        params[p + "ln2_g"] = np.ones(d)
-        params[p + "ln2_b"] = np.zeros(d)
+    bound = 1.0 / np.sqrt(config.d)
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 2:
+            params[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            params[name] = np.ones(shape) if name.endswith("_g") else np.zeros(shape)
     return params
 
 
@@ -190,7 +180,14 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EncoderTape:
-    """Everything needed to replay the backward pass of one ``encode_batch`` call."""
+    """Everything needed to replay the backward pass of one ``encode_batch`` call.
+
+    ``layer_caches[i]`` holds block ``i``'s input ``x`` (B, T, D), its keys and
+    values (B, H, T, dh), and its query-side tensors: ``qh`` (B, H, Tq, dh),
+    ``attn`` (B, H, Tq, T), then ``ctx``, the layer-norm caches, ``y1``,
+    ``pre``, ``act`` and ``gelu_cdf`` over Tq positions, where Tq is T for
+    every block but the last and 1 for the last.
+    """
 
     config: EncoderConfig
     params: Mapping[str, np.ndarray]
@@ -206,7 +203,8 @@ def encode_batch(
     lengths: np.ndarray | None = None,
 ) -> tuple[np.ndarray, EncoderTape]:
     """Encode a padded batch; positions at or past each row's length are masked
-    out of attention, so pad content never reaches the pooled output.
+    out of attention, so pad content never reaches the pooled output. The
+    last block computes position 0 only, the one that is pooled.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -235,15 +233,16 @@ def encode_batch(
 
     for i in range(config.n_layers):
         p = f"block{i}."
-        q = x @ params[p + "wq"] + params[p + "bq"]
+        xq = x if i < config.n_layers - 1 else x[:, :1]          # (B, Tq, D)
+        q = xq @ params[p + "wq"] + params[p + "bq"]
         k = x @ params[p + "wk"] + params[p + "bk"]
         v = x @ params[p + "wv"] + params[p + "bv"]
         qh, kh, vh = (_split_heads(z, n_heads) for z in (q, k, v))
-        scores = qh @ kh.swapaxes(-1, -2) * scale + neg          # (B, H, T, T)
+        scores = qh @ kh.swapaxes(-1, -2) * scale + neg          # (B, H, Tq, T)
         attn = softmax(scores, axis=-1)
-        ctx = _merge_heads(attn @ vh)                            # (B, T, D)
+        ctx = _merge_heads(attn @ vh)                            # (B, Tq, D)
         attn_out = ctx @ params[p + "wo"] + params[p + "bo"]
-        y1, ln1_cache = _layer_norm(x + attn_out, params[p + "ln1_g"], params[p + "ln1_b"])
+        y1, ln1_cache = _layer_norm(xq + attn_out, params[p + "ln1_g"], params[p + "ln1_b"])
         pre = y1 @ params[p + "ffn_w1"] + params[p + "ffn_b1"]
         act, gelu_cdf = _gelu(pre)
         ffn_out = act @ params[p + "ffn_w2"] + params[p + "ffn_b2"]
@@ -275,8 +274,7 @@ def backprop_batch(tape: EncoderTape, pooled_grad: np.ndarray) -> dict[str, np.n
     scale = 1.0 / np.sqrt(config.d // n_heads)
     grads = zero_grads(params)
 
-    dx = np.zeros((b, t, config.d))
-    dx[:, 0, :] = pooled_grad
+    dx = pooled_grad[:, None, :]                                 # (B, Tq=1, D) of the last block
 
     for i in reversed(range(config.n_layers)):
         p = f"block{i}."
@@ -306,9 +304,9 @@ def backprop_batch(tape: EncoderTape, pooled_grad: np.ndarray) -> dict[str, np.n
         grads[p + "wo"] += c["ctx"].reshape(-1, config.d).T @ dattn_out.reshape(-1, config.d)
         grads[p + "bo"] += dattn_out.sum(axis=(0, 1))
 
-        dctx_h = _split_heads(dctx, n_heads)                       # (B, H, T, dh)
-        dattn = dctx_h @ c["vh"].swapaxes(-1, -2)                  # (B, H, T, T)
-        dvh = c["attn"].swapaxes(-1, -2) @ dctx_h
+        dctx_h = _split_heads(dctx, n_heads)                       # (B, H, Tq, dh)
+        dattn = dctx_h @ c["vh"].swapaxes(-1, -2)                  # (B, H, Tq, T)
+        dvh = c["attn"].swapaxes(-1, -2) @ dctx_h                  # (B, H, T, dh)
         a = c["attn"]
         dscores = a * (dattn - (dattn * a).sum(axis=-1, keepdims=True))
         dqh = dscores @ c["kh"] * scale
@@ -316,16 +314,12 @@ def backprop_batch(tape: EncoderTape, pooled_grad: np.ndarray) -> dict[str, np.n
 
         dq, dk, dv = (_merge_heads(z) for z in (dqh, dkh, dvh))
         x = c["x"]
-        x_flat = x.reshape(-1, config.d)
-        for name, dz in (("wq", dq), ("wk", dk), ("wv", dv)):
-            grads[p + name] += x_flat.T @ dz.reshape(-1, config.d)
+        tq = dq.shape[1]
+        for name, xz, dz in (("wq", x[:, :tq], dq), ("wk", x, dk), ("wv", x, dv)):
+            grads[p + name] += xz.reshape(-1, config.d).T @ dz.reshape(-1, config.d)
             grads[p + "b" + name[1]] += dz.sum(axis=(0, 1))
-        dx = (
-            dq @ params[p + "wq"].T
-            + dk @ params[p + "wk"].T
-            + dv @ params[p + "wv"].T
-            + dx_res
-        )
+        dx = dk @ params[p + "wk"].T + dv @ params[p + "wv"].T     # (B, T, D)
+        dx[:, :tq] += dq @ params[p + "wq"].T + dx_res
 
     flat_ids = tape.ids.reshape(-1)
     np.add.at(grads["tok_emb"], flat_ids, dx.reshape(-1, config.d))

@@ -15,7 +15,6 @@ parameters.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping, Sequence, TypeVar
 
@@ -477,21 +476,17 @@ def save_model(model: Model, path: str) -> None:
     enc.save_checkpoint(path, header, model.parameters())
 
 
-def _check_encoder_sizes(path: str, config: EncoderConfig, tensors: Mapping[str, np.ndarray]) -> None:
-    """The header's sizes must match the stored embeddings and block count,
-    checked before a model of that config is allocated."""
-    blocks = {int(m.group(1)) for name in tensors if (m := re.match(r"enc\.block(\d+)\.", name))}
-    tok = tensors.get("enc.tok_emb", np.zeros(0)).shape
-    pos = tensors.get("enc.pos_emb", np.zeros(0)).shape
-    if (
-        tok != (config.vocab_size, config.d)
-        or pos != (config.max_len, config.d)
-        or len(blocks) != config.n_layers
-        or max(blocks, default=-1) != config.n_layers - 1
-    ):
+def _check_encoder_shapes(path: str, config: EncoderConfig, tensors: Mapping[str, np.ndarray]) -> None:
+    """Every stored ``enc.`` tensor must have the name and shape the header's
+    config gives it, checked before a model of that config is allocated."""
+    found = {name: t.shape for name, t in tensors.items() if name.startswith("enc.")}
+    expected = {}
+    if config.n_layers <= len(found):  # every block stores tensors; a deeper config is not listed out
+        expected = {f"enc.{name}": shape for name, shape in enc.param_shapes(config).items()}
+    if found != expected:
+        wrong = sorted(n for n in expected.keys() | found.keys() if expected.get(n) != found.get(n))
         raise ModelConfigError(
-            f"{path}: encoder config {config.to_dict()} does not match the stored embeddings "
-            f"{tok} and {pos} or blocks {sorted(blocks)}"
+            f"{path}: encoder config {config.to_dict()} does not match the stored embeddings and blocks: {wrong}"
         )
 
 
@@ -500,8 +495,8 @@ def load_model(path: str, cls: type[M]) -> M:
 
     The file must hold exactly the tensor names and shapes of a fresh model
     of its stored config and vocabulary; any mismatch, or a bad header,
-    raises ``ModelConfigError``. The header's sizes are checked against the
-    stored embeddings and block count before that model is allocated.
+    raises ``ModelConfigError``. The shapes of the stored encoder tensors are
+    checked against the header's config before that model is allocated.
     """
     header, tensors = enc.load_checkpoint(path)
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT or header.get("kind") != cls.KIND:
@@ -514,7 +509,7 @@ def load_model(path: str, cls: type[M]) -> M:
     try:
         config = EncoderConfig.from_dict(header["encoder_config"])
         vocab = Vocabulary({t: int(i) for t, i in header["vocab"].items()})
-        _check_encoder_sizes(path, config, tensors)
+        _check_encoder_shapes(path, config, tensors)
         model = cls.init(config, vocab, **settings)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ModelConfigError(f"{path}: bad checkpoint header: {exc!r}") from exc

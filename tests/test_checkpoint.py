@@ -1,5 +1,6 @@
 """Checkpoint codec: round trip and rejection of files that do not match their model."""
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,13 @@ def _huge_depth(header, tensors):
     header["encoder_config"]["n_layers"] = 10**9
 
 
+def _wide_header_narrow_blocks(header, tensors):
+    """Header and embeddings agree on d=1024; the block tensors stay d=4."""
+    d = header["encoder_config"]["d"] = 1024
+    for name in ("enc.tok_emb", "enc.pos_emb"):
+        tensors[name] = np.zeros((tensors[name].shape[0], d))
+
+
 CORRUPTIONS = [
     _drop_head_weight,
     _add_tensor,
@@ -146,3 +154,19 @@ def test_link_refuses_oversized_header_before_allocating(corrupt, tmp_path, caps
     assert rc == 3
     assert time.perf_counter() - start < 1.0
     assert "does not match the stored embeddings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_wide_header_with_narrow_blocks_rejected_before_allocating(kind, tmp_path):
+    # a model of the header's config would hold two 1024 x 4096 feed-forward matrices (64 MB)
+    path, header, tensors = saved(kind, tmp_path)
+    _wide_header_narrow_blocks(header, tensors)
+    enc.save_checkpoint(str(path), header, tensors)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelConfigError, match="does not match the stored embeddings and blocks"):
+            load_model(str(path), KINDS[kind])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20

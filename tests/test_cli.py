@@ -151,6 +151,29 @@ def test_overlong_text_exits_2(workdir, untrained_local, tmp_path, capsys):
     assert err.startswith("input error:") and "max_len=48" in err
 
 
+def test_overlong_text_does_not_stop_the_corpus(workdir, untrained_local, tmp_path, capsys):
+    texts = load_corpus(str(workdir / "test.jsonl"))[:3]
+    surface = texts[0].mentions[0].surface
+    words = [surface] + ["filler"] * 80  # 81 query tokens for max_len_local 48
+    long_text = AnnotatedText(" ".join(words), (Mention(0, len(surface), surface, texts[0].mentions[0].gold),))
+    corpus = tmp_path / "mixed.jsonl"
+    save_corpus([long_text] + texts, str(corpus))
+    out = tmp_path / "dec.jsonl"
+    rc = main([
+        "link", "--kb", str(workdir / "kb.jsonl"), "--corpus", str(corpus),
+        "--local-model", str(untrained_local), "--config", str(workdir / "cfg.json"),
+        "--out", str(out),
+    ])
+    assert rc == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("input error: text 0: ")
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert sorted({r["text"] for r in records}) == [1, 2, 3]
+    assert len(records) == sum(len(t.mentions) for t in texts)
+    # the failed text has no records, so its decisions do not cover the corpus
+    assert main(["eval", "--corpus", str(corpus), "--decisions", str(out)]) == 2
+
+
 @pytest.mark.parametrize("command,flag", [("eval", "--corpus"), ("link", "--out"), ("link", "--local-model")])
 def test_directory_for_a_file_exits_2(command, flag, workdir, untrained_local, tmp_path, capsys):
     args = {

@@ -116,12 +116,15 @@ class TestForward:
         ids = rng.integers(0, 20, size=(3, 9))
         lengths = np.array([9, 5, 7])
         _, tape = encode_batch(params, cfg, ids, lengths)
+        # every block attends from all 9 positions but the last, which attends from position 0 only
+        assert [c["attn"].shape for c in tape.layer_caches] == [(3, 2, 9, 9), (3, 2, 1, 9)]
         for cache in tape.layer_caches:
             attn = cache["attn"]
             assert np.all(attn >= 0)
             for b, n in enumerate(lengths):
                 rows = attn[b, :, :n, :]
                 np.testing.assert_allclose(rows.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+                assert np.all(attn[b, :, :, n:] == 0)
 
     def test_token_id_out_of_range_rejected(self):
         cfg = EncoderConfig(vocab_size=5, max_len=8, d=4, n_layers=1, n_heads=2)
@@ -156,9 +159,10 @@ class TestBackprop:
         for name in sum_grads:
             np.testing.assert_allclose(sum_grads[name], a[name] + b[name], rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_gradients_match_finite_differences(self, seed):
-        cfg = EncoderConfig(vocab_size=13, max_len=8, d=8, n_layers=2, n_heads=2, seed=seed)
+    def test_gradients_match_finite_differences(self, seed, n_layers):
+        cfg = EncoderConfig(vocab_size=13, max_len=8, d=8, n_layers=n_layers, n_heads=2, seed=seed)
         params = init_params(cfg)
         rng = np.random.default_rng(seed + 50)
         ids = rng.integers(0, 13, size=(2, 6))
@@ -225,6 +229,112 @@ class TestBatchedEqualsPerRow:
                 summed[name] += g
         for name in params:
             np.testing.assert_allclose(grads[name], summed[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def _ref_layer_norm(v, g, b):
+    xc = v - v.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-6)
+    return xc * inv * g + b, (xc * inv, inv, g)
+
+
+def _ref_layer_norm_backward(dy, cache):
+    xhat, inv, g = cache
+    dxhat = dy * g
+    dx = (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+    return dx, (dy * xhat).sum(axis=0), dy.sum(axis=0)
+
+
+def full_width_reference(params, cfg, tokens, pooled_grad):
+    """One unpadded row run through every block at every position, head by
+    head, then back again from ``pooled_grad`` at position 0: the pooled
+    vector and the gradient of every parameter tensor."""
+    n, n_heads = len(tokens), cfg.n_heads
+    dh = cfg.d // n_heads
+    heads = [slice(h * dh, (h + 1) * dh) for h in range(n_heads)]
+    x = params["tok_emb"][tokens] + params["pos_emb"][:n]
+    caches = []
+    for i in range(cfg.n_layers):
+        P = {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith(f"block{i}.")}
+        q, k, v = (x @ P["w" + s] + P["b" + s] for s in "qkv")
+        attn = []
+        for sl in heads:
+            s = q[:, sl] @ k[:, sl].T / np.sqrt(dh)
+            e = np.exp(s - s.max(axis=-1, keepdims=True))
+            attn.append(e / e.sum(axis=-1, keepdims=True))
+        ctx = np.concatenate([a @ v[:, sl] for a, sl in zip(attn, heads)], axis=1)
+        y1, ln1 = _ref_layer_norm(x + ctx @ P["wo"] + P["bo"], P["ln1_g"], P["ln1_b"])
+        pre = y1 @ P["ffn_w1"] + P["ffn_b1"]
+        cdf = 0.5 * (1.0 + erf(pre / np.sqrt(2.0)))
+        y2, ln2 = _ref_layer_norm(y1 + (pre * cdf) @ P["ffn_w2"] + P["ffn_b2"], P["ln2_g"], P["ln2_b"])
+        caches.append((P, x, q, k, v, attn, ctx, ln1, y1, pre, cdf, ln2))
+        x = y2
+
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    dx = np.zeros_like(x)
+    dx[0] = pooled_grad
+    for i in reversed(range(cfg.n_layers)):
+        P, x_in, q, k, v, attn, ctx, ln1, y1, pre, cdf, ln2 = caches[i]
+        G = {name: grads[f"block{i}.{name}"] for name in P}
+        dsum2, dg, db = _ref_layer_norm_backward(dx, ln2)
+        G["ln2_g"] += dg
+        G["ln2_b"] += db
+        G["ffn_w2"] += (pre * cdf).T @ dsum2
+        G["ffn_b2"] += dsum2.sum(axis=0)
+        dpre = (dsum2 @ P["ffn_w2"].T) * (cdf + pre * np.exp(-0.5 * pre * pre) / np.sqrt(2.0 * np.pi))
+        G["ffn_w1"] += y1.T @ dpre
+        G["ffn_b1"] += dpre.sum(axis=0)
+        dsum1, dg, db = _ref_layer_norm_backward(dsum2 + dpre @ P["ffn_w1"].T, ln1)
+        G["ln1_g"] += dg
+        G["ln1_b"] += db
+        G["wo"] += ctx.T @ dsum1
+        G["bo"] += dsum1.sum(axis=0)
+        dctx = dsum1 @ P["wo"].T
+        dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+        for a, sl in zip(attn, heads):
+            dv[:, sl] = a.T @ dctx[:, sl]
+            da = dctx[:, sl] @ v[:, sl].T
+            ds = a * (da - (da * a).sum(axis=-1, keepdims=True)) / np.sqrt(dh)
+            dq[:, sl] = ds @ k[:, sl]
+            dk[:, sl] = ds.T @ q[:, sl]
+        dx = dsum1.copy()
+        for s, dz in zip("qkv", (dq, dk, dv)):
+            G["w" + s] += x_in.T @ dz
+            G["b" + s] += dz.sum(axis=0)
+            dx += dz @ P["w" + s].T
+    for pos, token in enumerate(tokens):
+        grads["tok_emb"][token] += dx[pos]
+        grads["pos_emb"][pos] += dx[pos]
+    return x[0], grads
+
+
+class TestFullWidthReference:
+    """The encoder computes the last block at position 0 only; a reference that
+    runs every position through every block gives the same pooled vectors
+    and gradients on ragged, padded batches."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_pooled_and_gradients_match_full_width_reference(self, n_layers):
+        cfg = EncoderConfig(vocab_size=17, max_len=12, d=8, n_layers=n_layers, n_heads=2, seed=n_layers)
+        rng = np.random.default_rng(40 + n_layers)
+        # non-zero biases and non-unit gains, so every tensor shapes the output
+        params = {k: v + rng.normal(scale=0.2, size=v.shape) for k, v in init_params(cfg).items()}
+        for _ in range(5):
+            lengths = rng.integers(1, 11, size=4)
+            lengths[0] = 10
+            ids = rng.integers(0, cfg.vocab_size, size=(4, 10))  # pad positions hold random tokens
+            pooled_grad = rng.normal(size=(4, cfg.d))
+
+            pooled, tape = encode_batch(params, cfg, ids, lengths)
+            grads = backprop_batch(tape, pooled_grad)
+
+            summed = {name: np.zeros_like(p) for name, p in params.items()}
+            for row, n in enumerate(lengths):
+                ref_pooled, ref_grads = full_width_reference(params, cfg, ids[row, :n], pooled_grad[row])
+                np.testing.assert_allclose(pooled[row], ref_pooled, rtol=0, atol=1e-12)
+                for name, g in ref_grads.items():
+                    summed[name] += g
+            for name in params:
+                np.testing.assert_allclose(grads[name], summed[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestInit:
