@@ -11,7 +11,6 @@ from .config import EncoderSettings, RunConfig
 from .corpus import (
     AnnotatedText,
     Mention,
-    TokenSequence,
     Vocabulary,
     assemble_option_sequence,
     build_query,
@@ -21,14 +20,7 @@ from .corpus import (
     tokenize,
     update_query,
 )
-from .encoder import (
-    Adam,
-    AdamState,
-    EncoderConfig,
-    adam_step,
-    init_adam_state,
-    init_params,
-)
+from .encoder import AdamState, EncoderConfig, adam_step, init_params
 from .errors import InputFormatError, ModelConfigError, SequenceOverflowError
 from .kb import (
     NIL,

@@ -16,7 +16,7 @@ from .kb import build_index, load_kb, save_kb
 from .corpus import load_corpus, save_corpus
 from .local import LocalModel, load_model, save_model, train_local
 from .multiturn import GlobalModel, train_global
-from .pipeline import evaluate, link_text, load_decisions, save_decisions
+from .pipeline import evaluate, link_corpus, load_decisions, save_decisions
 from .synth import SynthSpec, generate_synthetic_world
 
 
@@ -96,19 +96,13 @@ def _cmd_link(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     local_model = load_model(args.local_model, LocalModel)
     global_model = None if args.global_model is None else load_model(args.global_model, GlobalModel)
-    index = build_index(kb)
-    decisions, failed = [], 0
-    for i, text in enumerate(corpus):
-        try:
-            decisions.append(link_text(text, index, local_model, global_model, cfg))
-        except InputFormatError as exc:
-            print(f"input error: text {i}: {exc}", file=sys.stderr)
-            decisions.append([])
-            failed += 1
+    decisions, errors = link_corpus(corpus, kb, local_model, global_model, cfg)
+    for i, exc in errors:
+        print(f"input error: text {i}: {exc}", file=sys.stderr)
     save_decisions(decisions, args.out)
     n = sum(len(d) for d in decisions)
-    print(f"linked {n} mentions in {len(corpus) - failed} of {len(corpus)} texts")
-    return 2 if failed else 0
+    print(f"linked {n} mentions in {len(corpus) - len(errors)} of {len(corpus)} texts")
+    return 2 if errors else 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

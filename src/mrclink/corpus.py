@@ -157,24 +157,14 @@ def update_query(
     return out
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """Encoder input: token ids."""
-
-    tokens: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
 def assemble_option_sequence(
     description: str,
     query: str,
     option_name: str,
     vocab: Vocabulary,
     max_len: int,
-) -> TokenSequence:
-    """[CLS] description [SEP] query [SEP] option [SEP], truncating only the description.
+) -> tuple[int, ...]:
+    """Token ids of [CLS] description [SEP] query [SEP] option [SEP], truncating only the description.
 
     Tokens come off the end of the description until the sequence fits
     ``max_len``; the query and option are never shortened.
@@ -190,15 +180,15 @@ def assemble_option_sequence(
             f"query ({len(q)}) and option ({len(o)}) tokens cannot fit in max_len={max_len}"
         )
     d = d[:budget]
-    return TokenSequence(tokens=(CLS_ID, *d, SEP_ID, *q, SEP_ID, *o, SEP_ID))
+    return (CLS_ID, *d, SEP_ID, *q, SEP_ID, *o, SEP_ID)
 
 
-def assemble_query_sequence(query: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
-    """[CLS] query [SEP], for query-only reading."""
+def assemble_query_sequence(query: str, vocab: Vocabulary, max_len: int) -> tuple[int, ...]:
+    """Token ids of [CLS] query [SEP], for query-only reading."""
     q = tokenize(query, vocab)
     if len(q) + 2 > max_len:
         raise SequenceOverflowError(f"query ({len(q)}) tokens cannot fit in max_len={max_len}")
-    return TokenSequence(tokens=(CLS_ID, *q, SEP_ID))
+    return (CLS_ID, *q, SEP_ID)
 
 
 def load_corpus(path: str) -> list[AnnotatedText]:
@@ -248,7 +238,7 @@ def save_corpus(texts: Sequence[AnnotatedText], path: str, kinds: Sequence[str] 
 __all__ = [
     "PAD", "UNK", "CLS", "SEP", "MASK",
     "PAD_ID", "UNK_ID", "CLS_ID", "SEP_ID", "MASK_ID",
-    "Vocabulary", "Mention", "AnnotatedText", "TokenSequence",
+    "Vocabulary", "Mention", "AnnotatedText",
     "split_tokens", "tokenize", "detokenize",
     "build_query", "update_query",
     "assemble_option_sequence", "assemble_query_sequence",

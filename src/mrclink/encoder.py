@@ -13,13 +13,12 @@ layer norms and feed-forward at position 0 only (Tq = 1): the pooled vector is
 all that leaves the encoder, and no other position of the last block reaches
 it. Its keys and values still cover all T positions.
 
-Parameters are immutable during a forward/backward pair; independent
-sequences may be encoded in parallel, and gradient accumulation sums in a
-fixed order for bitwise reproducibility.
+Parameters must not change between a forward pass and its backward pass;
+independent sequences may be encoded in parallel, and gradient accumulation
+sums in a fixed order for bitwise reproducibility.
 """
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import dataclass, field
@@ -108,10 +107,6 @@ def init_params(config: EncoderConfig) -> dict[str, np.ndarray]:
     return params
 
 
-def zero_grads(params: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
 # ----------------------------- numeric primitives -----------------------------
 
 
@@ -187,6 +182,11 @@ class EncoderTape:
     ``attn`` (B, H, Tq, T), then ``ctx``, the layer-norm caches, ``y1``,
     ``pre``, ``act`` and ``gelu_cdf`` over Tq positions, where Tq is T for
     every block but the last and 1 for the last.
+
+    ``params`` holds the parameter tensors by reference, not a copy: an
+    in-place optimizer step changes what a later ``backprop_batch`` on this
+    tape would read. The training loops finish every backward pass before
+    they step, and no caller keeps a tape across a step.
     """
 
     config: EncoderConfig
@@ -260,8 +260,9 @@ def encode_batch(
     return pooled, tape
 
 
-def backprop_batch(tape: EncoderTape, pooled_grad: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of <pooled, pooled_grad> w.r.t. every parameter tensor."""
+def backprop_batch(tape: EncoderTape, pooled_grad: np.ndarray, grads: Mapping[str, np.ndarray]) -> None:
+    """Add the exact gradients of <pooled, pooled_grad> w.r.t. every parameter
+    tensor into ``grads``, which has the tape's parameter names and shapes."""
     config, params = tape.config, tape.params
     pooled_grad = np.asarray(pooled_grad, dtype=np.float64)
     b, t = tape.ids.shape
@@ -272,7 +273,6 @@ def backprop_batch(tape: EncoderTape, pooled_grad: np.ndarray) -> dict[str, np.n
 
     n_heads = config.n_heads
     scale = 1.0 / np.sqrt(config.d // n_heads)
-    grads = zero_grads(params)
 
     dx = pooled_grad[:, None, :]                                 # (B, Tq=1, D) of the last block
 
@@ -324,7 +324,6 @@ def backprop_batch(tape: EncoderTape, pooled_grad: np.ndarray) -> dict[str, np.n
     flat_ids = tape.ids.reshape(-1)
     np.add.at(grads["tok_emb"], flat_ids, dx.reshape(-1, config.d))
     grads["pos_emb"][:t] += dx.sum(axis=0)
-    return grads
 
 
 # ----------------------------- Adam with linear warmup -----------------------------
@@ -332,58 +331,34 @@ def backprop_batch(tape: EncoderTape, pooled_grad: np.ndarray) -> dict[str, np.n
 
 @dataclass
 class AdamState:
-    step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Step count and the first and second moment vectors, laid out like the
+    parameter vector they step."""
+
+    m: np.ndarray
+    v: np.ndarray
+    step: int = 0
 
 
-def init_adam_state(params: Mapping[str, np.ndarray]) -> AdamState:
-    return AdamState(step=0, m=zero_grads(params), v=zero_grads(params))
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float, warmup_steps: int = 0) -> None:
+    """One Adam update of ``params`` in place, with the learning rate ramped
+    linearly over ``warmup_steps``; ``grads``, ``state.m`` and ``state.v``
+    share the layout of ``params``.
 
-
-def adam_step(
-    params: Mapping[str, np.ndarray],
-    grads: Mapping[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    warmup_steps: int = 0,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One Adam update with the learning rate ramped linearly over ``warmup_steps``.
-
-    Pure: returns fresh parameter arrays and a fresh state. Non-finite
-    gradients raise.
+    Non-finite gradients raise before anything is written.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for {name!r}")
+    if not np.all(np.isfinite(grads)):
+        raise ValueError("non-finite gradient")
     t = state.step + 1
     lr_t = lr * min(1.0, t / warmup_steps) if warmup_steps > 0 else lr
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        g = grads[name]
-        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        new_m[name] = m
-        new_v[name] = v
-        new_params[name] = p - lr_t * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
-
-
-class Adam:
-    """Stateful convenience wrapper around ``adam_step``."""
-
-    def __init__(self, params: Mapping[str, np.ndarray], lr: float, warmup_fraction: float, total_steps: int):
-        self.lr = lr
-        self.warmup_steps = int(round(warmup_fraction * total_steps))
-        self.state = init_adam_state(params)
-
-    def step(self, params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        new_params, self.state = adam_step(params, grads, self.state, self.lr, self.warmup_steps)
-        return new_params
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    params -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    state.step = t
 
 
 # ----------------------------- checkpoint format -----------------------------
@@ -412,7 +387,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise ModelConfigError(f"{path}: not a model checkpoint")
-        header_line = _read_line(fh)
+        header_line = fh.readline().removesuffix(b"\n")
         try:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -437,12 +412,3 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         except (struct.error, UnicodeDecodeError, ValueError, MemoryError) as exc:
             raise ModelConfigError(f"{path}: corrupt tensor record: {exc}") from exc
     return header, tensors
-
-
-def _read_line(fh: io.BufferedReader) -> bytes:
-    out = bytearray()
-    while True:
-        ch = fh.read(1)
-        if not ch or ch == b"\n":
-            return bytes(out)
-        out.extend(ch)

@@ -1,7 +1,7 @@
 """Per-mention disambiguation: multiple-choice option scoring, the two-stage
 NIL verifier, the joint loss, and the local training loop. The model
-container, option encoder, scoring head, optimizer step and checkpoint codec
-defined here are shared with the global pass.
+container, option encoder, scoring head and checkpoint codec defined here are
+shared with the global pass.
 
 Each mention is one padded encoder batch: a ``[CLS] description [SEP] query
 [SEP] option [SEP]`` row per option, plus the ``[CLS] query [SEP]`` row that
@@ -15,7 +15,7 @@ parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -79,13 +79,20 @@ class ScoreTape:
 @dataclass
 class Model:
     """Base of the local and global models: an encoder and the tensors on top
-    of it, held as named parameter groups.
+    of it, held as named parameter groups that all live in one vector.
 
     ``GROUPS`` maps each parameter-name prefix to the attribute holding that
-    group, in declaration order; ``parameters()`` flattens the groups in that
-    order, which is also the tensor order of a checkpoint. A checkpoint
-    header stores ``KIND`` and the ``SETTINGS`` flags next to the config and
-    vocabulary.
+    group, in declaration order. ``flat`` is one float64 vector that holds
+    every parameter in that order, each group's tensors in their own order;
+    that is also the tensor order of ``parameters()`` and of a checkpoint.
+    Every tensor of every group is a reshaped view of ``flat``, so one
+    in-place optimizer step on ``flat`` updates them all. ``views`` is the one
+    place that knows the offsets; gradient vectors share the layout and are
+    split by it too. Constructing a model copies the given tensors into a new
+    ``flat``, so two models never share parameters.
+
+    A checkpoint header stores ``KIND`` and the ``SETTINGS`` flags next to the
+    config and vocabulary.
     """
 
     KIND: ClassVar[str]
@@ -95,17 +102,29 @@ class Model:
     config: EncoderConfig
     vocab: Vocabulary
     enc_params: dict[str, np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.flat = np.concatenate([np.ravel(t) for t in self.parameters().values()], dtype=np.float64)
+        for prefix, group in self.views(self.flat).items():
+            setattr(self, self.GROUPS[prefix], group)
+
+    def views(self, vec: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
+        """Split a vector laid out like ``flat`` into ``{prefix: {name: view}}``."""
+        out: dict[str, dict[str, np.ndarray]] = {}
+        at = 0
+        for prefix, attr in self.GROUPS.items():
+            out[prefix] = {}
+            for name, t in getattr(self, attr).items():
+                out[prefix][name] = vec[at : at + t.size].reshape(t.shape)
+                at += t.size
+        return out
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Flat view with ``<group>.`` prefixes, in declaration order."""
+        """Every tensor by ``<group>.<name>``, in the order of ``flat``."""
         return {
             f"{prefix}.{k}": v for prefix, attr in self.GROUPS.items() for k, v in getattr(self, attr).items()
         }
-
-    def replace_parameters(self, flat: Mapping[str, np.ndarray]) -> None:
-        for prefix, attr in self.GROUPS.items():
-            cut = len(prefix) + 1
-            setattr(self, attr, {k[cut:]: v for k, v in flat.items() if k.startswith(prefix + ".")})
 
 
 def check_vocab(config: EncoderConfig, vocab: Vocabulary) -> None:
@@ -167,7 +186,7 @@ def encode_options(
     if not options:
         raise ValueError("candidate set must be non-empty")
     seqs = [
-        assemble_option_sequence(e.description, query, e.canonical_name, model.vocab, model.config.max_len).tokens
+        assemble_option_sequence(e.description, query, e.canonical_name, model.vocab, model.config.max_len)
         for e in options
     ]
     seqs.extend(extra_rows)
@@ -184,19 +203,18 @@ def head_softmax(head: Mapping[str, np.ndarray], vectors: np.ndarray) -> np.ndar
 
 
 def head_backward(
-    head: Mapping[str, np.ndarray], vectors: np.ndarray, dlogits: np.ndarray, scale: float
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """``head.`` gradients of ``scale`` times the loss, and its gradient w.r.t. ``vectors``."""
+    head: Mapping[str, np.ndarray],
+    vectors: np.ndarray,
+    dlogits: np.ndarray,
+    scale: float,
+    grads: Mapping[str, np.ndarray],
+) -> np.ndarray:
+    """Add the head gradients of ``scale`` times the loss into ``grads``, and
+    return its gradient w.r.t. ``vectors``."""
     dlogits = dlogits * scale
-    grads = {
-        "head.score_w": vectors.T @ dlogits,
-        "head.score_b": np.array([dlogits.sum()]),
-    }
-    return grads, np.outer(dlogits, head["score_w"])
-
-
-def prefixed(prefix: str, grads: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {f"{prefix}.{k}": v for k, v in grads.items()}
+    grads["score_w"] += vectors.T @ dlogits
+    grads["score_b"] += dlogits.sum()
+    return np.outer(dlogits, head["score_w"])
 
 
 def score_options(model: LocalModel, candidates: CandidateSet, query: str) -> tuple[LocalScores, ScoreTape]:
@@ -206,7 +224,7 @@ def score_options(model: LocalModel, candidates: CandidateSet, query: str) -> tu
     """
     extra = ()
     if model.nil_verifier:
-        extra = (assemble_query_sequence(query, model.vocab, model.config.max_len).tokens,)
+        extra = (assemble_query_sequence(query, model.vocab, model.config.max_len),)
     pooled, tape = encode_options(model, candidates.options, query, extra)
     n = len(candidates.options)
     judgement, hidden = nil_stage1(model, pooled[n]) if model.nil_verifier else (None, None)
@@ -307,36 +325,33 @@ def with_gold(candidates: CandidateSet, gold: Entity, k: int) -> CandidateSet:
 
 def local_backward(
     model: LocalModel, tape: ScoreTape, dlogits: np.ndarray, dlogit: float, cfg: RunConfig
-) -> dict[str, np.ndarray]:
-    """Gradients of ``joint_local_loss``: ``dlogits`` is the answer-loss
-    gradient w.r.t. the option logits, ``dlogit`` the NIL-loss gradient
-    w.r.t. the verifier logit (ignored with the verifier off).
+) -> np.ndarray:
+    """Gradient of ``joint_local_loss`` as a vector laid out like
+    ``model.flat``: ``dlogits`` is the answer-loss gradient w.r.t. the option
+    logits, ``dlogit`` the NIL-loss gradient w.r.t. the verifier logit
+    (ignored with the verifier off).
 
     The head gradient goes into the option rows and the verifier-MLP gradient
     into the query row of one ``dpooled``, sent back in one encoder backward.
     """
+    grads = np.zeros_like(model.flat)
+    views = model.views(grads)
     n = len(dlogits)
-    grads, doptions = head_backward(model.head, tape.pooled[:n], dlogits, cfg.alpha1)
+    doptions = head_backward(model.head, tape.pooled[:n], dlogits, cfg.alpha1, views["head"])
     dpooled = np.zeros_like(tape.pooled)
     dpooled[:n] = doptions
     hidden = tape.nil_hidden
     if hidden is not None:
+        nil = views["nil"]
         dlogit = dlogit * cfg.alpha2
         dpre = (1.0 - hidden * hidden) * (dlogit * model.nil["out_w"])
-        grads["nil.out_w"] = dlogit * hidden
-        grads["nil.out_b"] = np.array([dlogit])
-        grads["nil.hidden_w"] = np.outer(tape.pooled[n], dpre)
-        grads["nil.hidden_b"] = dpre
+        nil["out_w"] += dlogit * hidden
+        nil["out_b"] += dlogit
+        nil["hidden_w"] += np.outer(tape.pooled[n], dpre)
+        nil["hidden_b"] += dpre
         dpooled[n] = model.nil["hidden_w"] @ dpre
-    grads.update(prefixed("enc", enc.backprop_batch(tape.enc_tape, dpooled)))
+    enc.backprop_batch(tape.enc_tape, dpooled, views["enc"])
     return grads
-
-
-def optimizer_step(model: Model, optimizer: enc.Adam, grads: Mapping[str, np.ndarray]) -> None:
-    """One Adam step on every parameter; those without a gradient get zeros."""
-    params = model.parameters()
-    full = {name: grads[name] if name in grads else np.zeros_like(p) for name, p in params.items()}
-    model.replace_parameters(optimizer.step(params, full))
 
 
 def write_log(records: Sequence[dict], path: str | None) -> None:
@@ -408,7 +423,8 @@ def train_local(
         train_units = [(t, m) for t, m in units if m.gold != NIL]
 
     total_steps = cfg.epochs_local * len(train_units)
-    optimizer = enc.Adam(model.parameters(), cfg.lr_local, cfg.warmup, total_steps)
+    warmup_steps = int(round(cfg.warmup * total_steps))
+    adam = enc.AdamState(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat))
     rng = np.random.default_rng(cfg.seed)
     logs: list[dict] = []
 
@@ -442,7 +458,7 @@ def train_local(
             nil_gold += gold_label == NIL
             nil_hit += predicted == NIL and gold_label == NIL
 
-            optimizer_step(model, optimizer, grads)
+            enc.adam_step(model.flat, grads, adam, cfg.lr_local, warmup_steps)
 
         accuracy = n_correct / len(train_units) if train_units else 0.0
         record = {
@@ -523,5 +539,6 @@ def load_model(path: str, cls: type[M]) -> M:
             f"{path}: tensors do not match the {cls.KIND} model: "
             f"missing {missing}, unexpected {extra}, wrong shape {wrong}"
         )
-    model.replace_parameters({name: tensors[name] for name in expected})
+    for name, p in model.parameters().items():
+        p[...] = tensors[name]
     return model

@@ -27,8 +27,6 @@ from .local import (
     head_backward,
     head_softmax,
     init_head,
-    optimizer_step,
-    prefixed,
     run_local_pass,
     with_gold,
     write_log,
@@ -125,18 +123,19 @@ def gate_backward(
     fusion: GateFusion,
     dfused: np.ndarray,
     gate: Mapping[str, np.ndarray],
+    grads: Mapping[str, np.ndarray],
     mode: str = "gated",
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Gradients of the fused output w.r.t. current vectors, history, and gate weights."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Add the gate-weight gradients of the fused output into ``grads``, and
+    return its gradients w.r.t. the current vectors and the history."""
     c = fusion._cache
     dfused = np.atleast_2d(np.asarray(dfused, dtype=np.float64))
     d = dfused.shape[1]
-    grads = {k: np.zeros_like(v) for k, v in gate.items()}
     if mode == "concat":
         ds = (1.0 - c["fused"] * c["fused"]) * dfused
         grads["fuse_w"] += ds.T @ c["cat_vh"]
         dcat = ds @ gate["fuse_w"]
-        return dcat[:, :d], dcat[:, d:].sum(axis=0), grads
+        return dcat[:, :d], dcat[:, d:].sum(axis=0)
     if mode != "gated":
         raise ValueError(f"no backward pass for gate mode {mode!r}")
 
@@ -172,7 +171,7 @@ def gate_backward(
     dh_rows = dh_rows + dcat2[:, d:]
 
     dh = dh + dh_rows.sum(axis=0)
-    return dv, dh, grads
+    return dv, dh
 
 
 # ----------------------------- global model -----------------------------
@@ -228,14 +227,14 @@ class GlobalModel(Model):
         """Start from the trained local encoder; the gate and head are fresh."""
         max_len = local.config.max_len if max_len is None else max_len
         config = replace(local.config, max_len=max_len)
-        enc_params = {k: v.copy() for k, v in local.enc_params.items()}
+        enc_params = dict(local.enc_params)  # the new model copies these into its own vector
         if max_len > local.config.max_len:
             rng = np.random.default_rng(config.seed + 3_000_017)
             bound = 1.0 / np.sqrt(config.d)
             extra = rng.uniform(-bound, bound, (max_len - local.config.max_len, config.d))
             enc_params["pos_emb"] = np.vstack([enc_params["pos_emb"], extra])
         elif max_len < local.config.max_len:
-            enc_params["pos_emb"] = enc_params["pos_emb"][:max_len].copy()
+            enc_params["pos_emb"] = enc_params["pos_emb"][:max_len]
         return cls.init(config, local.vocab, gate_mode, history_mode, local.nil_verifier, enc_params)
 
 
@@ -281,12 +280,14 @@ def global_loss(scores: GlobalScores, gold_index: int) -> tuple[float, np.ndarra
 
 def global_backward(
     model: GlobalModel, tape: GlobalTape, dlogits: np.ndarray, scale: float = 1.0
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Backward through head, gate, and encoder; also returns the history gradient."""
-    grads, dfused = head_backward(model.head, tape.gate_fusion.fused, dlogits, scale)
-    draw, dhistory, gate_grads = gate_backward(tape.gate_fusion, dfused, model.gate, model.gate_mode)
-    grads.update(prefixed("gate", gate_grads))
-    grads.update(prefixed("enc", enc.backprop_batch(tape.enc_tape, draw)))
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backward through head, gate, and encoder: the parameter gradient as a
+    vector laid out like ``model.flat``, and the history gradient."""
+    grads = np.zeros_like(model.flat)
+    views = model.views(grads)
+    dfused = head_backward(model.head, tape.gate_fusion.fused, dlogits, scale, views["head"])
+    draw, dhistory = gate_backward(tape.gate_fusion, dfused, model.gate, views["gate"], model.gate_mode)
+    enc.backprop_batch(tape.enc_tape, draw, views["enc"])
     return grads, dhistory
 
 
@@ -419,7 +420,8 @@ def train_global(
             orders.append(rank_mentions([r.scores.probs for r in local_results]).order)
 
     total_steps = cfg.epochs_global * len(multi)
-    optimizer = enc.Adam(model.parameters(), cfg.lr_global, cfg.warmup, total_steps)
+    warmup_steps = int(round(cfg.warmup * total_steps))
+    adam = enc.AdamState(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat))
     rng = np.random.default_rng(cfg.seed + 7)
     logs: list[dict] = []
 
@@ -432,7 +434,7 @@ def train_global(
             order = orders[ti]
             history = np.zeros(model.config.d)
             linked: dict[Mention, Entity | None] = {}
-            turn_grads: dict[str, np.ndarray] = {}
+            turn_grads = np.zeros_like(model.flat)
             turn_losses: list[float] = []
 
             for turn, mi in enumerate(order):
@@ -463,9 +465,7 @@ def train_global(
                 scores, tape = global_score_mention(model, cands, query, history)
                 loss, dlogits = global_loss(scores, gold_index)
                 turn_losses.append(loss)
-                grads, _ = global_backward(model, tape, dlogits)
-                for name, g in grads.items():
-                    turn_grads[name] = turn_grads[name] + g if name in turn_grads else g
+                turn_grads += global_backward(model, tape, dlogits)[0]
 
                 n_scored += 1
                 n_correct += int(np.argmax(scores.probs)) == gold_index
@@ -481,8 +481,8 @@ def train_global(
 
             if not turn_losses:
                 continue
-            inv = 1.0 / len(turn_losses)
-            optimizer_step(model, optimizer, {name: g * inv for name, g in turn_grads.items()})
+            turn_grads *= 1.0 / len(turn_losses)
+            enc.adam_step(model.flat, turn_grads, adam, cfg.lr_global, warmup_steps)
             losses.append(float(np.mean(turn_losses)))
 
         record = {

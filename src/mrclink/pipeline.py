@@ -117,9 +117,23 @@ def link_corpus(
     local_model: LocalModel,
     global_model: GlobalModel | None,
     cfg: RunConfig,
-) -> list[list[LinkDecision]]:
+) -> tuple[list[list[LinkDecision]], list[tuple[int, InputFormatError]]]:
+    """Link every text of the corpus; one bad text does not stop the rest.
+
+    Returns one decision list per text, in corpus order, and one
+    ``(text index, error)`` entry per text that raised ``InputFormatError``;
+    such a text gets an empty decision list.
+    """
     index = build_index(kb)
-    return [link_text(text, index, local_model, global_model, cfg) for text in corpus]
+    decisions: list[list[LinkDecision]] = []
+    errors: list[tuple[int, InputFormatError]] = []
+    for i, text in enumerate(corpus):
+        try:
+            decisions.append(link_text(text, index, local_model, global_model, cfg))
+        except InputFormatError as exc:
+            decisions.append([])
+            errors.append((i, exc))
+    return decisions, errors
 
 
 # ----------------------------- evaluation -----------------------------
@@ -163,9 +177,9 @@ def evaluate(
     n_mentions = n_correct = 0
     nil_pred = nil_gold = nil_hit = 0
     per_count: dict[int, list[int]] = {}
-    for text, decs in zip(corpus, decisions):
+    for i, (text, decs) in enumerate(zip(corpus, decisions)):
         if len(text.mentions) != len(decs):
-            raise InputFormatError("decision list does not match the text's mentions")
+            raise InputFormatError(f"text {i}: {len(decs)} decisions for {len(text.mentions)} mentions")
         bucket = per_count.setdefault(len(text.mentions), [0, 0])
         for mention, dec in zip(text.mentions, decs):
             if mention.gold is None:

@@ -103,6 +103,11 @@ def _grad_world():
     return kb, corpus
 
 
+def named(model, vec):
+    """Name -> view map of a vector laid out like ``model.flat``, keyed like ``parameters()``."""
+    return {f"{prefix}.{k}": v for prefix, group in model.views(vec).items() for k, v in group.items()}
+
+
 def _fd_check(loss_fn, tensors, analytic, rng, cap=80):
     """Central differences (step 1e-4) against analytic grads, allclose style."""
     failures = []
@@ -166,7 +171,7 @@ def test_criterion_2_gradient_suite():
             scores, tape = score_options(model, cands, query)
             _, dlogit = nil_loss(scores.nil, True)
             nil_only = RunConfig(alpha1=0.0, alpha2=1.0)
-            nil_grads = local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only)
+            nil_grads = named(model, local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only))
             n, bad = _fd_check(nil_loss_fn, model.parameters(), nil_grads, rng, cap=40)
             assert not bad, bad[:3]
             total += n
@@ -181,7 +186,7 @@ def test_criterion_2_gradient_suite():
             scores, tape = score_options(model, cands, query)
             _, dl = answer_loss(scores, gold)
             _, dlogit = nil_loss(scores.nil, True)
-            grads = local_backward(model, tape, dl, dlogit, cfg)
+            grads = named(model, local_backward(model, tape, dl, dlogit, cfg))
             n, bad = _fd_check(local_loss_fn, model.parameters(), grads, rng, cap=60)
             assert not bad, bad[:3]
             total += n
@@ -197,7 +202,7 @@ def test_criterion_2_gradient_suite():
             gscores, gtape = global_score_mention(gmodel, cands, query, history)
             _, gdl = global_loss(gscores, gold)
             ggrads, dhistory = global_backward(gmodel, gtape, gdl)
-            n, bad = _fd_check(global_loss_fn, gmodel.parameters(), ggrads, rng, cap=60)
+            n, bad = _fd_check(global_loss_fn, gmodel.parameters(), named(gmodel, ggrads), rng, cap=60)
             assert not bad, bad[:3]
             total += n
             for i in range(d):
@@ -376,8 +381,9 @@ def test_criterion_6_coherence_lift(experiments):
     details = []
     for seed in SEEDS:
         run = experiments[seed]
-        dec_local = link_corpus(run.world.test, run.world.kb, run.local, None, run.cfg)
-        dec_full = link_corpus(run.world.test, run.world.kb, run.local, run.glob, run.cfg)
+        dec_local, errors_local = link_corpus(run.world.test, run.world.kb, run.local, None, run.cfg)
+        dec_full, errors_full = link_corpus(run.world.test, run.world.kb, run.local, run.glob, run.cfg)
+        assert errors_local == [] and errors_full == []
         r_local = _planted_eval(run, dec_local)
         r_full = _planted_eval(run, dec_full)
         assert r_full.n_mentions >= 200, r_full.n_mentions
@@ -391,8 +397,9 @@ def test_criterion_7_nil_lift(experiments):
     details = []
     for seed in SEEDS:
         run = experiments[seed]
-        dec_on = link_corpus(run.world.test, run.world.kb, run.local, run.glob, run.cfg)
-        dec_off = link_corpus(run.world.test, run.world.kb, run.local_off, None, run.cfg_off)
+        dec_on, errors_on = link_corpus(run.world.test, run.world.kb, run.local, run.glob, run.cfg)
+        dec_off, errors_off = link_corpus(run.world.test, run.world.kb, run.local_off, None, run.cfg_off)
+        assert errors_on == [] and errors_off == []
         r_on = evaluate(run.world.test, dec_on)
         r_off = evaluate(run.world.test, dec_off)
         recall_lift = r_on.nil_recall - r_off.nil_recall
@@ -409,7 +416,8 @@ def test_criterion_8_ablation_directions(experiments):
     details = []
     for seed in SEEDS:
         run = experiments[seed]
-        dec_full = link_corpus(run.world.test, run.world.kb, run.local, run.glob, run.cfg)
+        dec_full, errors = link_corpus(run.world.test, run.world.kb, run.local, run.glob, run.cfg)
+        assert errors == []
         base = _planted_eval(run, dec_full).accuracy
         drops = {}
         for name, kwargs in (
@@ -417,9 +425,10 @@ def test_criterion_8_ablation_directions(experiments):
             ("no_query_update", dict(no_query_update=True)),
             ("history_last", dict(history_mode="last")),
         ):
-            dec = link_corpus(
+            dec, errors = link_corpus(
                 run.world.test, run.world.kb, run.local, run.glob, replace(run.cfg, **kwargs)
             )
+            assert errors == []
             acc = _planted_eval(run, dec).accuracy
             drops[name] = base - acc
         # no ablation may help by more than noise, and one must strictly hurt

@@ -172,6 +172,7 @@ def test_overlong_text_does_not_stop_the_corpus(workdir, untrained_local, tmp_pa
     assert len(records) == sum(len(t.mentions) for t in texts)
     # the failed text has no records, so its decisions do not cover the corpus
     assert main(["eval", "--corpus", str(corpus), "--decisions", str(out)]) == 2
+    assert capsys.readouterr().err == "input error: text 0: 0 decisions for 1 mentions\n"
 
 
 @pytest.mark.parametrize("command,flag", [("eval", "--corpus"), ("link", "--out"), ("link", "--local-model")])

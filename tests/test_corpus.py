@@ -163,19 +163,19 @@ class TestAssemble:
     def test_minimal_sequence(self):
         seq = assemble_option_sequence("d", "q", "o", self.vocab, max_len=16)
         d, q, o = self.vocab.id("d"), self.vocab.id("q"), self.vocab.id("o")
-        assert seq.tokens == (CLS_ID, d, SEP_ID, q, SEP_ID, o, SEP_ID)
+        assert seq == (CLS_ID, d, SEP_ID, q, SEP_ID, o, SEP_ID)
         assert len(seq) == 7
 
     def test_description_truncated_from_end(self):
         description = " ".join(f"w{i % 10}" for i in range(1000))
         seq = assemble_option_sequence(description, "q", "o", self.vocab, max_len=64)
         assert len(seq) == 64
-        assert seq.tokens[-1] == SEP_ID
-        assert seq.tokens[0] == CLS_ID
+        assert seq[-1] == SEP_ID
+        assert seq[0] == CLS_ID
         # query and option survive intact
         q, o = self.vocab.id("q"), self.vocab.id("o")
-        assert seq.tokens[-4:] == (SEP_ID, o, SEP_ID)[-3:] or seq.tokens[-2] == o
-        assert q in seq.tokens
+        assert seq[-4:] == (SEP_ID, o, SEP_ID)[-3:] or seq[-2] == o
+        assert q in seq
 
     def test_overflow_when_query_and_option_cannot_fit(self):
         with pytest.raises(SequenceOverflowError):
@@ -197,14 +197,14 @@ class TestAssemble:
                 self.vocab,
                 max_len=32,
             )
-            assert seq.tokens[0] == CLS_ID
-            assert sum(t == SEP_ID for t in seq.tokens) == 3
-            assert len(seq.tokens) <= 32
+            assert seq[0] == CLS_ID
+            assert sum(t == SEP_ID for t in seq) == 3
+            assert len(seq) <= 32
 
     def test_query_sequence(self):
         seq = assemble_query_sequence("q q", self.vocab, max_len=16)
         q = self.vocab.id("q")
-        assert seq.tokens == (CLS_ID, q, q, SEP_ID)
+        assert seq == (CLS_ID, q, q, SEP_ID)
         with pytest.raises(SequenceOverflowError):
             assemble_query_sequence(" ".join(["q"] * 20), self.vocab, max_len=8)
 

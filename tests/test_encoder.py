@@ -8,12 +8,11 @@ from scipy.special import erf
 from mrclink import encoder as enc
 from mrclink.config import RunConfig
 from mrclink.encoder import (
-    Adam,
+    AdamState,
     EncoderConfig,
     adam_step,
     backprop_batch,
     encode_batch,
-    init_adam_state,
     init_params,
     load_checkpoint,
     param_names,
@@ -31,6 +30,13 @@ def encode_row(params, cfg, tokens):
     """One sequence as a 1-row batch: its pooled vector and the tape."""
     pooled, tape = encode_batch(params, cfg, np.array([tokens]))
     return pooled[0], tape
+
+
+def backprop(tape, pooled_grad):
+    """Gradients of one backward pass, added into fresh zero tensors."""
+    grads = {name: np.zeros_like(p) for name, p in tape.params.items()}
+    backprop_batch(tape, pooled_grad, grads)
+    return grads
 
 
 def fd_grad(loss_fn, arr, i, h=1e-4):
@@ -144,7 +150,7 @@ class TestBackprop:
         cfg = EncoderConfig(vocab_size=9, max_len=8, d=8, n_layers=1, n_heads=2, seed=2)
         params = init_params(cfg)
         _, tape = encode_row(params, cfg, [2, 5, 6, 3])
-        grads = backprop_batch(tape, np.zeros((1, 8)))
+        grads = backprop(tape, np.zeros((1, 8)))
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_linearity_in_pooled_grad(self):
@@ -153,9 +159,9 @@ class TestBackprop:
         _, tape = encode_row(params, cfg, [2, 5, 6, 3])
         rng = np.random.default_rng(3)
         g1, g2 = rng.normal(size=(1, 8)), rng.normal(size=(1, 8))
-        sum_grads = backprop_batch(tape, g1 + g2)
-        a = backprop_batch(tape, g1)
-        b = backprop_batch(tape, g2)
+        sum_grads = backprop(tape, g1 + g2)
+        a = backprop(tape, g1)
+        b = backprop(tape, g2)
         for name in sum_grads:
             np.testing.assert_allclose(sum_grads[name], a[name] + b[name], rtol=1e-12, atol=1e-12)
 
@@ -174,7 +180,7 @@ class TestBackprop:
             return float((w * pooled).sum())
 
         _, tape = encode_batch(params, cfg, ids, lengths)
-        grads = backprop_batch(tape, w)
+        grads = backprop(tape, w)
         for name, arr in params.items():
             flat = arr.ravel()
             analytic = grads[name].ravel()
@@ -189,7 +195,7 @@ class TestBackprop:
         params = init_params(cfg)
         _, tape = encode_row(params, cfg, [2, 3])
         with pytest.raises(ValueError):
-            backprop_batch(tape, np.zeros((1, 4)))
+            backprop(tape, np.zeros((1, 4)))
 
 
 BATCH_CFG = EncoderConfig(vocab_size=13, max_len=10, d=8, n_layers=2, n_heads=2, seed=7)
@@ -219,13 +225,13 @@ class TestBatchedEqualsPerRow:
         pooled_grad = np.random.default_rng(grad_seed).normal(size=(len(rows), cfg.d))
 
         pooled, tape = encode_batch(params, cfg, ids, lengths)
-        grads = backprop_batch(tape, pooled_grad)
+        grads = backprop(tape, pooled_grad)
 
         summed = {name: np.zeros_like(p) for name, p in params.items()}
         for i, r in enumerate(rows):
             row_pooled, row_tape = encode_row(params, cfg, r)
             np.testing.assert_allclose(pooled[i], row_pooled, rtol=0, atol=1e-12)
-            for name, g in backprop_batch(row_tape, pooled_grad[i : i + 1]).items():
+            for name, g in backprop(row_tape, pooled_grad[i : i + 1]).items():
                 summed[name] += g
         for name in params:
             np.testing.assert_allclose(grads[name], summed[name], rtol=0, atol=1e-12, err_msg=name)
@@ -325,7 +331,7 @@ class TestFullWidthReference:
             pooled_grad = rng.normal(size=(4, cfg.d))
 
             pooled, tape = encode_batch(params, cfg, ids, lengths)
-            grads = backprop_batch(tape, pooled_grad)
+            grads = backprop(tape, pooled_grad)
 
             summed = {name: np.zeros_like(p) for name, p in params.items()}
             for row, n in enumerate(lengths):
@@ -366,46 +372,75 @@ class TestInit:
             EncoderConfig(vocab_size=5, max_len=4, d=6, n_heads=4)
 
 
+def fresh_state(params):
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
+
+
 class TestAdam:
     def test_zero_gradients_leave_parameters_unchanged(self):
-        params = {"w": np.arange(6, dtype=np.float64).reshape(2, 3)}
-        state = init_adam_state(params)
-        new, _ = adam_step(params, {"w": np.zeros((2, 3))}, state, lr=0.1)
-        assert new["w"].tobytes() == params["w"].tobytes()
+        params = np.arange(6, dtype=np.float64)
+        before = params.copy()
+        adam_step(params, np.zeros(6), fresh_state(params), lr=0.1)
+        assert params.tobytes() == before.tobytes()
 
     def test_descends_a_quadratic(self):
-        params = {"w": np.array([5.0])}
-        state = init_adam_state(params)
+        params = np.array([5.0])
+        state = fresh_state(params)
         for _ in range(200):
-            grads = {"w": 2.0 * params["w"]}
-            params, state = adam_step(params, grads, state, lr=0.05)
-        assert abs(params["w"][0]) < 0.1
+            adam_step(params, 2.0 * params, state, lr=0.05)
+        assert abs(params[0]) < 0.1
 
     def test_linear_warmup_scales_first_steps(self):
-        params = {"w": np.array([1.0])}
-        grads = {"w": np.array([1.0])}
-        s1 = init_adam_state(params)
-        stepped, _ = adam_step(params, grads, s1, lr=0.1, warmup_steps=10)
-        full, _ = adam_step(params, grads, init_adam_state(params), lr=0.1)
+        params = np.array([1.0])
+        grads = np.array([1.0])
+        stepped, full = params.copy(), params.copy()
+        adam_step(stepped, grads, fresh_state(params), lr=0.1, warmup_steps=10)
+        adam_step(full, grads, fresh_state(params), lr=0.1)
         # first warmup step sees lr/10, so the move is a tenth of the unwarmed move
-        np.testing.assert_allclose(params["w"] - stepped["w"], (params["w"] - full["w"]) / 10)
+        np.testing.assert_allclose(params - stepped, (params - full) / 10)
 
     def test_warmup_reaches_full_rate(self):
-        opt = Adam({"w": np.zeros(1)}, lr=0.1, warmup_fraction=0.1, total_steps=100)
-        assert opt.warmup_steps == 10
-        params = {"w": np.array([1.0])}
+        params = np.array([1.0])
+        state = fresh_state(params)
         for _ in range(11):
-            params = opt.step(params, {"w": np.array([0.0])})
-        stepped, _ = adam_step(params, {"w": np.array([1.0])}, opt.state, lr=0.1, warmup_steps=10)
-        full_state = init_adam_state(params)
-        full_state.step = opt.state.step
-        full, _ = adam_step(params, {"w": np.array([1.0])}, full_state, lr=0.1, warmup_steps=0)
-        np.testing.assert_allclose(stepped["w"], full["w"])
+            adam_step(params, np.array([0.0]), state, lr=0.1, warmup_steps=10)
+        full_state = fresh_state(params)
+        full_state.step = state.step
+        stepped, full = params.copy(), params.copy()
+        adam_step(stepped, np.array([1.0]), state, lr=0.1, warmup_steps=10)
+        adam_step(full, np.array([1.0]), full_state, lr=0.1, warmup_steps=0)
+        np.testing.assert_allclose(stepped, full)
 
     def test_non_finite_gradients_rejected(self):
-        params = {"w": np.ones(2)}
+        params = np.ones(2)
         with pytest.raises(ValueError):
-            adam_step(params, {"w": np.array([1.0, np.nan])}, init_adam_state(params), lr=0.1)
+            adam_step(params, np.array([1.0, np.nan]), fresh_state(params), lr=0.1)
+
+    def test_non_finite_gradient_leaves_parameters_and_state_untouched(self):
+        params = np.array([1.0, -2.0, 3.0])
+        state = fresh_state(params)
+        adam_step(params, np.array([0.5, -1.0, 2.0]), state, lr=0.1)
+        saved = (params.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                adam_step(params, np.array([1.0, bad, 1.0]), state, lr=0.1)
+            assert (params.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step) == saved
+
+    def test_in_place_step_matches_the_textbook_update_bitwise(self):
+        rng = np.random.default_rng(11)
+        params = rng.normal(size=50)
+        state = fresh_state(params)
+        p, m, v = params.copy(), np.zeros(50), np.zeros(50)
+        for t in range(1, 6):
+            g = rng.normal(size=50)
+            adam_step(params, g, state, lr=0.01, warmup_steps=3)
+            lr_t = 0.01 * min(1.0, t / 3)
+            m = enc.ADAM_BETA1 * m + (1.0 - enc.ADAM_BETA1) * g
+            v = enc.ADAM_BETA2 * v + (1.0 - enc.ADAM_BETA2) * g * g
+            p = p - lr_t * (m / (1.0 - enc.ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - enc.ADAM_BETA2**t)) + enc.ADAM_EPS)
+            assert (params.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step) == (
+                p.tobytes(), m.tobytes(), v.tobytes(), t
+            )
 
     def test_configured_learning_rate_defaults(self):
         cfg = RunConfig()

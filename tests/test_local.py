@@ -54,6 +54,11 @@ def tiny_world():
     return kb, corpus
 
 
+def named(model, vec):
+    """Name -> view map of a vector laid out like ``model.flat``, keyed like ``parameters()``."""
+    return {f"{prefix}.{k}": v for prefix, group in model.views(vec).items() for k, v in group.items()}
+
+
 def tiny_model(kb, corpus, d=8, seed=0, nil_verifier=True, max_len=32):
     vocab = build_vocabulary(corpus, kb)
     config = EncoderConfig(vocab_size=len(vocab), max_len=max_len, d=d, n_layers=1, n_heads=2, seed=seed)
@@ -190,7 +195,7 @@ class TestNilVerifier:
         scores, tape = score_options(model, cands, query)
         _, dlogit = nil_loss(scores.nil, True)
         nil_only = RunConfig(alpha1=0.0, alpha2=1.0)
-        grads = local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only)
+        grads = named(model, local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only))
         h = 1e-5
         for group, name in (("nil", "hidden_w"), ("nil", "hidden_b"), ("nil", "out_w"), ("nil", "out_b")):
             arr = getattr(model, group)[name]
@@ -286,7 +291,7 @@ class TestJointGradients:
         scores, tape = score_options(model, cands, query)
         _, dlogits = answer_loss(scores, gold_index)
         _, dlogit = nil_loss(scores.nil, True)
-        grads = local_backward(model, tape, dlogits, dlogit, cfg)
+        grads = named(model, local_backward(model, tape, dlogits, dlogit, cfg))
 
         rng = np.random.default_rng(0)
         flat_params = model.parameters()
@@ -342,7 +347,7 @@ class TestQueryRowRidesAlong:
         for query in ("[MASK] kicks ball game", "alpha sings [MASK] tune", "[MASK]"):
             scores, _ = score_options(model, cands, query)
             seq = assemble_query_sequence(query, model.vocab, model.config.max_len)
-            pooled, _ = enc.encode_batch(model.enc_params, model.config, np.array([seq.tokens]))
+            pooled, _ = enc.encode_batch(model.enc_params, model.config, np.array([seq]))
             alone, _ = nil_stage1(model, pooled[0])
             assert abs(scores.nil.prob - alone.prob) <= 1e-12
 

@@ -1,5 +1,7 @@
-"""Ambiguity ranking, gated history fusion, global scoring, and multi-turn tests."""
+"""Ambiguity ranking, gated history fusion, global scoring, multi-turn, and
+parameter-layout tests."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,11 @@ from mrclink.multiturn import (
     train_global,
 )
 from mrclink.local import load_model, save_model
+
+
+def named(model, vec):
+    """Name -> view map of a vector laid out like ``model.flat``, keyed like ``parameters()``."""
+    return {f"{prefix}.{k}": v for prefix, group in model.views(vec).items() for k, v in group.items()}
 
 
 def zero_gate(d):
@@ -158,7 +165,8 @@ class TestGateFuse:
         np.testing.assert_allclose(out.fused, expect, atol=1e-12)
 
         w = rng.normal(size=(3, d))
-        dv, dh, grads = gate_backward(out, w, gate, mode="concat")
+        grads = zero_gate(d)
+        dv, dh = gate_backward(out, w, gate, grads, mode="concat")
         step = 1e-6
 
         def loss():
@@ -184,7 +192,8 @@ class TestGateFuse:
         h = rng.normal(size=d)
         w = rng.normal(size=(4, d))
         out = gate_fuse_batch(v, h, gate)
-        dv, dh, grads = gate_backward(out, w, gate)
+        grads = zero_gate(d)
+        dv, dh = gate_backward(out, w, gate, grads)
 
         def loss():
             return float((w * gate_fuse_batch(v, h, gate).fused).sum())
@@ -288,7 +297,7 @@ class TestGlobalScoring:
         logits = []
         for ent in cands.options:
             seq = assemble_option_sequence(ent.description, query, ent.canonical_name, glob.vocab, 32)
-            v = enc.encode_batch(glob.enc_params, glob.config, np.array([seq.tokens]))[0][0]
+            v = enc.encode_batch(glob.enc_params, glob.config, np.array([seq]))[0][0]
             u = sig(glob.gate["update_w"] @ np.concatenate([v, history]))
             f = np.tanh(glob.gate["fuse_w"] @ np.concatenate([u * history, v]))
             g = sig(glob.gate["keep_cur_w"] @ v + glob.gate["keep_hist_w"] @ history)
@@ -325,6 +334,7 @@ class TestGlobalScoring:
         scores, tape = global_score_mention(glob, cands, query, history)
         _, dlogits = global_loss(scores, gold)
         grads, dhistory = global_backward(glob, tape, dlogits)
+        grads = named(glob, grads)
 
         h = 1e-5
         flat_params = glob.parameters()
@@ -431,8 +441,6 @@ class TestTrainGlobal:
             (Mention(0, 5, "alpha", "e1"), Mention(12, 16, "beta", "e3"), Mention(22, 27, "gamma", "e4")),
         )
         corpus3 = corpus + [text3]
-        from dataclasses import replace
-
         m_flow, _ = train_global(corpus3, kb, local, cfg)
         m_last, _ = train_global(corpus3, kb, local, replace(cfg, history_mode="last"))
         diff = any(
@@ -453,3 +461,50 @@ class TestTrainGlobal:
         assert back.history_mode == model.history_mode
         for k, v in model.parameters().items():
             assert back.parameters()[k].tobytes() == v.tobytes()
+
+
+def assert_flat_layout(model):
+    """Every parameter tensor is a view of ``model.flat``, and they tile it in order."""
+    params = model.parameters()
+    assert all(np.shares_memory(p, model.flat) for p in params.values())
+    assert np.concatenate([p.ravel() for p in params.values()]).tobytes() == model.flat.tobytes()
+
+
+class TestParameterLayout:
+    """Each model keeps its parameters in one vector of its own, in checkpoint order."""
+
+    def test_fresh_and_loaded_models_are_views_of_one_vector(self, tmp_path):
+        kb, corpus = multi_world()
+        cfg, local, glob = make_models(kb, corpus)
+        plain = LocalModel.init(local.config, local.vocab, nil_verifier=False)
+        concat = GlobalModel.from_local(local, max_len=40, gate_mode="concat", history_mode="last")
+        for i, model in enumerate((local, plain, glob, concat)):
+            assert_flat_layout(model)
+            path = tmp_path / f"model{i}.ckpt"
+            save_model(model, str(path))
+            back = load_model(str(path), type(model))
+            assert_flat_layout(back)
+            assert back.flat.tobytes() == model.flat.tobytes()
+
+    def test_from_local_and_replace_copy_rather_than_alias(self):
+        kb, corpus = multi_world()
+        _, local, _ = make_models(kb, corpus)
+        before = local.flat.tobytes()
+        copies = [GlobalModel.from_local(local, max_len=n) for n in (16, 32, 40)]
+        copies.append(replace(local, nil_verifier=False))
+        assert copies[-1].flat.tobytes() == before
+        for model in copies:
+            assert_flat_layout(model)
+            assert not np.shares_memory(model.flat, local.flat)
+            np.testing.assert_array_equal(model.enc_params["tok_emb"], local.enc_params["tok_emb"])
+            model.flat += 1.0
+        assert local.flat.tobytes() == before
+
+    def test_train_global_leaves_the_local_model_unchanged(self):
+        kb, corpus = multi_world()
+        cfg, local, _ = make_models(kb, corpus, epochs_global=2)
+        before = {k: v.tobytes() for k, v in local.parameters().items()}
+        trained, _ = train_global(corpus, kb, local, cfg)
+        fresh = GlobalModel.from_local(local, max_len=cfg.max_len_global)
+        assert trained.flat.tobytes() != fresh.flat.tobytes()
+        assert {k: v.tobytes() for k, v in local.parameters().items()} == before

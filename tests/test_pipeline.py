@@ -5,7 +5,7 @@ import pytest
 from mrclink.config import EncoderSettings, RunConfig
 from mrclink.corpus import AnnotatedText, Mention
 from mrclink.encoder import EncoderConfig
-from mrclink.errors import InputFormatError
+from mrclink.errors import InputFormatError, SequenceOverflowError
 from mrclink.kb import NIL, Entity, KnowledgeBase, build_index, prior_baseline
 from mrclink.local import LocalModel, build_vocabulary
 from mrclink.multiturn import GlobalModel
@@ -140,6 +140,25 @@ class TestLinkText:
         assert all(d.global_probs is None for d in decisions)
 
 
+class TestLinkCorpus:
+    def test_overlong_text_is_reported_and_the_rest_linked(self):
+        kb, corpus, cfg, local, glob = pipeline_world()
+        words = ["alpha"] + ["filler"] * 80  # 81 query tokens for max_len_local 32
+        long_text = AnnotatedText(" ".join(words), (Mention(0, 5, "alpha", "e1"),))
+        decisions, errors = link_corpus([long_text] + corpus, kb, local, glob, cfg)
+        assert len(decisions) == 4 and decisions[0] == []
+        assert len(errors) == 1
+        index, error = errors[0]
+        assert index == 0 and isinstance(error, SequenceOverflowError)
+        index = build_index(kb)
+        for text, decs in zip(corpus, decisions[1:]):
+            want = link_text(text, index, local, glob, cfg)
+            assert [d.mention for d in decs] == list(text.mentions)
+            assert [d.selected for d in decs] == [d.selected for d in want]
+            for got, expect in zip(decs, want):
+                assert got.local_probs.tobytes() == expect.local_probs.tobytes()
+
+
 def fake_decisions(corpus, selections):
     out = []
     for text, sels in zip(corpus, selections):
@@ -199,11 +218,19 @@ class TestEvaluate:
         with pytest.raises(InputFormatError):
             evaluate(corpus, fake_decisions(corpus[:2], [["e1", "e3"], [NIL]]))
 
+    def test_text_missing_decisions_is_named(self):
+        corpus = self.corpus()
+        decisions = fake_decisions(corpus, [["e1", "e3"], [NIL], ["e2"]])
+        decisions[1] = []
+        with pytest.raises(InputFormatError, match=r"^text 1: 0 decisions for 1 mentions$"):
+            evaluate(corpus, decisions)
+
 
 class TestDecisionsIO:
     def test_round_trip(self, tmp_path):
         kb, corpus, cfg, local, glob = pipeline_world()
-        decisions = link_corpus(corpus, kb, local, glob, cfg)
+        decisions, errors = link_corpus(corpus, kb, local, glob, cfg)
+        assert errors == []
         path = tmp_path / "decisions.jsonl"
         save_decisions(decisions, str(path))
         back = load_decisions(str(path), corpus)
