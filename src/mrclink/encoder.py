@@ -338,6 +338,16 @@ class AdamState:
     v: np.ndarray
     step: int = 0
 
+    @classmethod
+    def zeros_like(cls, params: np.ndarray) -> "AdamState":
+        """Fresh state for stepping ``params``: zero moments, step 0."""
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
+
+
+def warmup_steps(warmup_fraction: float, total_steps: int) -> int:
+    """Length in steps of a warmup given as a fraction of ``total_steps``."""
+    return int(round(warmup_fraction * total_steps))
+
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float, warmup_steps: int = 0) -> None:
     """One Adam update of ``params`` in place, with the learning rate ramped

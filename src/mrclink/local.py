@@ -86,10 +86,11 @@ class Model:
     every parameter in that order, each group's tensors in their own order;
     that is also the tensor order of ``parameters()`` and of a checkpoint.
     Every tensor of every group is a reshaped view of ``flat``, so one
-    in-place optimizer step on ``flat`` updates them all. ``views`` is the one
-    place that knows the offsets; gradient vectors share the layout and are
-    split by it too. Constructing a model copies the given tensors into a new
-    ``flat``, so two models never share parameters.
+    in-place optimizer step on ``flat`` (``step``) updates them all. ``views``
+    is the one place that knows the offsets; gradient vectors share the
+    layout and are split by it (or by name, through ``named``) too.
+    Constructing a model copies the given tensors into a new ``flat``, so two
+    models never share parameters.
 
     A checkpoint header stores ``KIND`` and the ``SETTINGS`` flags next to the
     config and vocabulary.
@@ -120,11 +121,24 @@ class Model:
                 at += t.size
         return out
 
+    def named(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Split a vector laid out like ``flat`` into views keyed like ``parameters()``."""
+        return {f"{prefix}.{k}": v for prefix, group in self.views(vec).items() for k, v in group.items()}
+
     def parameters(self) -> dict[str, np.ndarray]:
         """Every tensor by ``<group>.<name>``, in the order of ``flat``."""
         return {
             f"{prefix}.{k}": v for prefix, attr in self.GROUPS.items() for k, v in getattr(self, attr).items()
         }
+
+    def step(self, grads: np.ndarray, adam: enc.AdamState, lr: float, warmup_steps: int) -> None:
+        """One in-place ``adam_step`` of ``flat``; a non-finite gradient raises
+        before anything is written, naming the first tensor that holds one."""
+        try:
+            enc.adam_step(self.flat, grads, adam, lr, warmup_steps)
+        except ValueError:
+            bad = next(name for name, g in self.named(grads).items() if not np.all(np.isfinite(g)))
+            raise ValueError(f"non-finite gradient for {bad!r}") from None
 
 
 def check_vocab(config: EncoderConfig, vocab: Vocabulary) -> None:
@@ -423,8 +437,8 @@ def train_local(
         train_units = [(t, m) for t, m in units if m.gold != NIL]
 
     total_steps = cfg.epochs_local * len(train_units)
-    warmup_steps = int(round(cfg.warmup * total_steps))
-    adam = enc.AdamState(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat))
+    warmup_steps = enc.warmup_steps(cfg.warmup, total_steps)
+    adam = enc.AdamState.zeros_like(model.flat)
     rng = np.random.default_rng(cfg.seed)
     logs: list[dict] = []
 
@@ -458,7 +472,7 @@ def train_local(
             nil_gold += gold_label == NIL
             nil_hit += predicted == NIL and gold_label == NIL
 
-            enc.adam_step(model.flat, grads, adam, cfg.lr_local, warmup_steps)
+            model.step(grads, adam, cfg.lr_local, warmup_steps)
 
         accuracy = n_correct / len(train_units) if train_units else 0.0
         record = {

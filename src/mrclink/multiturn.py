@@ -420,8 +420,8 @@ def train_global(
             orders.append(rank_mentions([r.scores.probs for r in local_results]).order)
 
     total_steps = cfg.epochs_global * len(multi)
-    warmup_steps = int(round(cfg.warmup * total_steps))
-    adam = enc.AdamState(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat))
+    warmup_steps = enc.warmup_steps(cfg.warmup, total_steps)
+    adam = enc.AdamState.zeros_like(model.flat)
     rng = np.random.default_rng(cfg.seed + 7)
     logs: list[dict] = []
 
@@ -482,7 +482,7 @@ def train_global(
             if not turn_losses:
                 continue
             turn_grads *= 1.0 / len(turn_losses)
-            enc.adam_step(model.flat, turn_grads, adam, cfg.lr_global, warmup_steps)
+            model.step(turn_grads, adam, cfg.lr_global, warmup_steps)
             losses.append(float(np.mean(turn_losses)))
 
         record = {

@@ -103,11 +103,6 @@ def _grad_world():
     return kb, corpus
 
 
-def named(model, vec):
-    """Name -> view map of a vector laid out like ``model.flat``, keyed like ``parameters()``."""
-    return {f"{prefix}.{k}": v for prefix, group in model.views(vec).items() for k, v in group.items()}
-
-
 def _fd_check(loss_fn, tensors, analytic, rng, cap=80):
     """Central differences (step 1e-4) against analytic grads, allclose style."""
     failures = []
@@ -171,7 +166,7 @@ def test_criterion_2_gradient_suite():
             scores, tape = score_options(model, cands, query)
             _, dlogit = nil_loss(scores.nil, True)
             nil_only = RunConfig(alpha1=0.0, alpha2=1.0)
-            nil_grads = named(model, local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only))
+            nil_grads = model.named(local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only))
             n, bad = _fd_check(nil_loss_fn, model.parameters(), nil_grads, rng, cap=40)
             assert not bad, bad[:3]
             total += n
@@ -186,7 +181,7 @@ def test_criterion_2_gradient_suite():
             scores, tape = score_options(model, cands, query)
             _, dl = answer_loss(scores, gold)
             _, dlogit = nil_loss(scores.nil, True)
-            grads = named(model, local_backward(model, tape, dl, dlogit, cfg))
+            grads = model.named(local_backward(model, tape, dl, dlogit, cfg))
             n, bad = _fd_check(local_loss_fn, model.parameters(), grads, rng, cap=60)
             assert not bad, bad[:3]
             total += n
@@ -202,7 +197,7 @@ def test_criterion_2_gradient_suite():
             gscores, gtape = global_score_mention(gmodel, cands, query, history)
             _, gdl = global_loss(gscores, gold)
             ggrads, dhistory = global_backward(gmodel, gtape, gdl)
-            n, bad = _fd_check(global_loss_fn, gmodel.parameters(), named(gmodel, ggrads), rng, cap=60)
+            n, bad = _fd_check(global_loss_fn, gmodel.parameters(), gmodel.named(ggrads), rng, cap=60)
             assert not bad, bad[:3]
             total += n
             for i in range(d):

@@ -18,6 +18,7 @@ from mrclink.encoder import (
     param_names,
     save_checkpoint,
     softmax,
+    warmup_steps,
 )
 from mrclink.errors import ModelConfigError
 
@@ -372,20 +373,16 @@ class TestInit:
             EncoderConfig(vocab_size=5, max_len=4, d=6, n_heads=4)
 
 
-def fresh_state(params):
-    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
-
-
 class TestAdam:
     def test_zero_gradients_leave_parameters_unchanged(self):
         params = np.arange(6, dtype=np.float64)
         before = params.copy()
-        adam_step(params, np.zeros(6), fresh_state(params), lr=0.1)
+        adam_step(params, np.zeros(6), AdamState.zeros_like(params), lr=0.1)
         assert params.tobytes() == before.tobytes()
 
     def test_descends_a_quadratic(self):
         params = np.array([5.0])
-        state = fresh_state(params)
+        state = AdamState.zeros_like(params)
         for _ in range(200):
             adam_step(params, 2.0 * params, state, lr=0.05)
         assert abs(params[0]) < 0.1
@@ -394,31 +391,33 @@ class TestAdam:
         params = np.array([1.0])
         grads = np.array([1.0])
         stepped, full = params.copy(), params.copy()
-        adam_step(stepped, grads, fresh_state(params), lr=0.1, warmup_steps=10)
-        adam_step(full, grads, fresh_state(params), lr=0.1)
+        adam_step(stepped, grads, AdamState.zeros_like(params), lr=0.1, warmup_steps=10)
+        adam_step(full, grads, AdamState.zeros_like(params), lr=0.1)
         # first warmup step sees lr/10, so the move is a tenth of the unwarmed move
         np.testing.assert_allclose(params - stepped, (params - full) / 10)
 
     def test_warmup_reaches_full_rate(self):
+        warmup = warmup_steps(0.1, 100)
+        assert warmup == 10
         params = np.array([1.0])
-        state = fresh_state(params)
+        state = AdamState.zeros_like(params)
         for _ in range(11):
-            adam_step(params, np.array([0.0]), state, lr=0.1, warmup_steps=10)
-        full_state = fresh_state(params)
+            adam_step(params, np.array([0.0]), state, lr=0.1, warmup_steps=warmup)
+        full_state = AdamState.zeros_like(params)
         full_state.step = state.step
         stepped, full = params.copy(), params.copy()
-        adam_step(stepped, np.array([1.0]), state, lr=0.1, warmup_steps=10)
+        adam_step(stepped, np.array([1.0]), state, lr=0.1, warmup_steps=warmup)
         adam_step(full, np.array([1.0]), full_state, lr=0.1, warmup_steps=0)
         np.testing.assert_allclose(stepped, full)
 
     def test_non_finite_gradients_rejected(self):
         params = np.ones(2)
         with pytest.raises(ValueError):
-            adam_step(params, np.array([1.0, np.nan]), fresh_state(params), lr=0.1)
+            adam_step(params, np.array([1.0, np.nan]), AdamState.zeros_like(params), lr=0.1)
 
     def test_non_finite_gradient_leaves_parameters_and_state_untouched(self):
         params = np.array([1.0, -2.0, 3.0])
-        state = fresh_state(params)
+        state = AdamState.zeros_like(params)
         adam_step(params, np.array([0.5, -1.0, 2.0]), state, lr=0.1)
         saved = (params.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step)
         for bad in (np.nan, np.inf, -np.inf):
@@ -429,7 +428,7 @@ class TestAdam:
     def test_in_place_step_matches_the_textbook_update_bitwise(self):
         rng = np.random.default_rng(11)
         params = rng.normal(size=50)
-        state = fresh_state(params)
+        state = AdamState.zeros_like(params)
         p, m, v = params.copy(), np.zeros(50), np.zeros(50)
         for t in range(1, 6):
             g = rng.normal(size=50)

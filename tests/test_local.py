@@ -54,11 +54,6 @@ def tiny_world():
     return kb, corpus
 
 
-def named(model, vec):
-    """Name -> view map of a vector laid out like ``model.flat``, keyed like ``parameters()``."""
-    return {f"{prefix}.{k}": v for prefix, group in model.views(vec).items() for k, v in group.items()}
-
-
 def tiny_model(kb, corpus, d=8, seed=0, nil_verifier=True, max_len=32):
     vocab = build_vocabulary(corpus, kb)
     config = EncoderConfig(vocab_size=len(vocab), max_len=max_len, d=d, n_layers=1, n_heads=2, seed=seed)
@@ -195,7 +190,7 @@ class TestNilVerifier:
         scores, tape = score_options(model, cands, query)
         _, dlogit = nil_loss(scores.nil, True)
         nil_only = RunConfig(alpha1=0.0, alpha2=1.0)
-        grads = named(model, local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only))
+        grads = model.named(local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only))
         h = 1e-5
         for group, name in (("nil", "hidden_w"), ("nil", "hidden_b"), ("nil", "out_w"), ("nil", "out_b")):
             arr = getattr(model, group)[name]
@@ -291,7 +286,7 @@ class TestJointGradients:
         scores, tape = score_options(model, cands, query)
         _, dlogits = answer_loss(scores, gold_index)
         _, dlogit = nil_loss(scores.nil, True)
-        grads = named(model, local_backward(model, tape, dlogits, dlogit, cfg))
+        grads = model.named(local_backward(model, tape, dlogits, dlogit, cfg))
 
         rng = np.random.default_rng(0)
         flat_params = model.parameters()

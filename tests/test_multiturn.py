@@ -8,7 +8,7 @@ import pytest
 
 from mrclink.config import EncoderSettings, RunConfig
 from mrclink.corpus import AnnotatedText, Mention
-from mrclink.encoder import EncoderConfig, softmax
+from mrclink.encoder import AdamState, EncoderConfig, softmax
 from mrclink.errors import InputFormatError
 from mrclink.kb import NIL, CandidateSet, Entity, KnowledgeBase, build_index, generate_candidates
 from mrclink.local import LocalModel, build_vocabulary, run_local_pass
@@ -25,11 +25,6 @@ from mrclink.multiturn import (
     train_global,
 )
 from mrclink.local import load_model, save_model
-
-
-def named(model, vec):
-    """Name -> view map of a vector laid out like ``model.flat``, keyed like ``parameters()``."""
-    return {f"{prefix}.{k}": v for prefix, group in model.views(vec).items() for k, v in group.items()}
 
 
 def zero_gate(d):
@@ -334,7 +329,7 @@ class TestGlobalScoring:
         scores, tape = global_score_mention(glob, cands, query, history)
         _, dlogits = global_loss(scores, gold)
         grads, dhistory = global_backward(glob, tape, dlogits)
-        grads = named(glob, grads)
+        grads = glob.named(grads)
 
         h = 1e-5
         flat_params = glob.parameters()
@@ -508,3 +503,15 @@ class TestParameterLayout:
         fresh = GlobalModel.from_local(local, max_len=cfg.max_len_global)
         assert trained.flat.tobytes() != fresh.flat.tobytes()
         assert {k: v.tobytes() for k, v in local.parameters().items()} == before
+
+    def test_non_finite_step_names_the_tensor_and_writes_nothing(self):
+        kb, corpus = multi_world()
+        _, local, glob = make_models(kb, corpus)
+        for model, name in ((local, "nil.hidden_w"), (glob, "gate.fuse_w")):
+            grads = np.zeros_like(model.flat)
+            model.named(grads)[name][0] = np.nan
+            adam = AdamState.zeros_like(model.flat)
+            before = model.flat.tobytes()
+            with pytest.raises(ValueError, match=f"non-finite gradient for '{name}'"):
+                model.step(grads, adam, lr=0.1, warmup_steps=0)
+            assert model.flat.tobytes() == before and adam.step == 0
