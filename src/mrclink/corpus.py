@@ -1,7 +1,11 @@
 """Annotated short texts, tokenization, and query/option sequence construction.
 
-All types here are immutable values and every operation is a pure function,
-so concurrent use needs no coordination.
+Every type here is an immutable value and every operation a pure function,
+with one exception: each ``Vocabulary`` memoizes the token ids of the KB
+strings (entity descriptions and canonical names) it has tokenized. Concurrent
+readers stay safe without coordination: a memo entry is a pure function of
+its key, so two threads that miss at once compute equal tuples and either
+write wins, and each dict read or write is atomic under the interpreter lock.
 """
 from __future__ import annotations
 
@@ -51,6 +55,7 @@ class Vocabulary:
             raise InputFormatError("vocabulary mapping must be injective")
         self._token_to_id = dict(token_to_id)
         self._id_to_token = {i: t for t, i in self._token_to_id.items()}
+        self._kb_ids: dict[str, tuple[int, ...]] = {}
 
     @classmethod
     def build(cls, texts: Iterable[str]) -> "Vocabulary":
@@ -81,6 +86,18 @@ class Vocabulary:
 
     def to_dict(self) -> dict[str, int]:
         return dict(self._token_to_id)
+
+    def kb_ids(self, text: str) -> tuple[int, ...]:
+        """``tokenize(text, self)`` as a tuple, memoized by ``text``.
+
+        For KB strings only (entity descriptions and canonical names): the
+        memo grows with every distinct string passed, so a query, which
+        differs per mention, goes through ``tokenize`` instead.
+        """
+        ids = self._kb_ids.get(text)
+        if ids is None:
+            ids = self._kb_ids[text] = tuple(tokenize(text, self))
+        return ids
 
 
 def tokenize(text: str, vocab: Vocabulary) -> list[int]:
@@ -158,37 +175,32 @@ def update_query(
 
 
 def assemble_option_sequence(
-    description: str,
-    query: str,
-    option_name: str,
-    vocab: Vocabulary,
+    description: Sequence[int],
+    query: Sequence[int],
+    option_name: Sequence[int],
     max_len: int,
 ) -> tuple[int, ...]:
-    """Token ids of [CLS] description [SEP] query [SEP] option [SEP], truncating only the description.
+    """Token ids of [CLS] description [SEP] query [SEP] option [SEP] from the
+    token ids of its three parts, truncating only the description.
 
     Tokens come off the end of the description until the sequence fits
     ``max_len``; the query and option are never shortened.
     """
     if max_len < 8:
         raise ValueError("max_len must be >= 8")
-    d = tokenize(description, vocab)
-    q = tokenize(query, vocab)
-    o = tokenize(option_name, vocab)
-    budget = max_len - 4 - len(q) - len(o)
+    budget = max_len - 4 - len(query) - len(option_name)
     if budget < 0:
         raise SequenceOverflowError(
-            f"query ({len(q)}) and option ({len(o)}) tokens cannot fit in max_len={max_len}"
+            f"query ({len(query)}) and option ({len(option_name)}) tokens cannot fit in max_len={max_len}"
         )
-    d = d[:budget]
-    return (CLS_ID, *d, SEP_ID, *q, SEP_ID, *o, SEP_ID)
+    return (CLS_ID, *description[:budget], SEP_ID, *query, SEP_ID, *option_name, SEP_ID)
 
 
-def assemble_query_sequence(query: str, vocab: Vocabulary, max_len: int) -> tuple[int, ...]:
-    """Token ids of [CLS] query [SEP], for query-only reading."""
-    q = tokenize(query, vocab)
-    if len(q) + 2 > max_len:
-        raise SequenceOverflowError(f"query ({len(q)}) tokens cannot fit in max_len={max_len}")
-    return (CLS_ID, *q, SEP_ID)
+def assemble_query_sequence(query: Sequence[int], max_len: int) -> tuple[int, ...]:
+    """Token ids of [CLS] query [SEP] from the query's token ids, for query-only reading."""
+    if len(query) + 2 > max_len:
+        raise SequenceOverflowError(f"query ({len(query)}) tokens cannot fit in max_len={max_len}")
+    return (CLS_ID, *query, SEP_ID)
 
 
 def load_corpus(path: str) -> list[AnnotatedText]:

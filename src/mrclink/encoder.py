@@ -131,12 +131,19 @@ def cross_entropy(probs: np.ndarray, target_index: int) -> tuple[float, np.ndarr
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    """Layer norm of ``x``, which it overwrites with the normalized ``xhat``.
+
+    The means are ``sum / n``: the very operations ``np.mean`` performs,
+    without its Python-level dispatch.
+    """
+    n = x.shape[-1]
+    x -= x.sum(axis=-1, keepdims=True) / n
+    var = (x * x).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return xhat * gain + bias, (xhat, inv, gain)
+    x *= inv
+    y = x * gain
+    y += bias
+    return y, (x, inv, gain)
 
 
 def _layer_norm_backward(dy: np.ndarray, cache):
@@ -152,7 +159,10 @@ def _layer_norm_backward(dy: np.ndarray, cache):
 
 
 def _gelu(u: np.ndarray):
-    cdf = 0.5 * (1.0 + erf(u * _INV_SQRT2))
+    cdf = u * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     return u * cdf, cdf
 
 
@@ -228,25 +238,40 @@ def encode_batch(
     key_mask = np.arange(t)[None, :] < lengths[:, None]          # (B, T)
     neg = np.where(key_mask[:, None, None, :], 0.0, -np.inf)     # (B, 1, 1, T)
 
-    x = params["tok_emb"][ids] + params["pos_emb"][:t]
+    # Sums and scalings below run in place on fresh temporaries; each is the
+    # same IEEE operation as its out-of-place form, so results are unchanged.
+    x = params["tok_emb"][ids]
+    x += params["pos_emb"][:t]
     tape = EncoderTape(config=config, params=params, ids=ids, lengths=lengths)
 
     for i in range(config.n_layers):
         p = f"block{i}."
         xq = x if i < config.n_layers - 1 else x[:, :1]          # (B, Tq, D)
-        q = xq @ params[p + "wq"] + params[p + "bq"]
-        k = x @ params[p + "wk"] + params[p + "bk"]
-        v = x @ params[p + "wv"] + params[p + "bv"]
+        q = xq @ params[p + "wq"]
+        q += params[p + "bq"]
+        k = x @ params[p + "wk"]
+        k += params[p + "bk"]
+        v = x @ params[p + "wv"]
+        v += params[p + "bv"]
         qh, kh, vh = (_split_heads(z, n_heads) for z in (q, k, v))
-        scores = qh @ kh.swapaxes(-1, -2) * scale + neg          # (B, H, Tq, T)
-        attn = softmax(scores, axis=-1)
+        attn = qh @ kh.swapaxes(-1, -2)                          # (B, H, Tq, T)
+        attn *= scale
+        attn += neg
+        attn -= attn.max(axis=-1, keepdims=True)                 # softmax, as ``softmax`` computes it
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
         ctx = _merge_heads(attn @ vh)                            # (B, Tq, D)
-        attn_out = ctx @ params[p + "wo"] + params[p + "bo"]
-        y1, ln1_cache = _layer_norm(xq + attn_out, params[p + "ln1_g"], params[p + "ln1_b"])
-        pre = y1 @ params[p + "ffn_w1"] + params[p + "ffn_b1"]
+        sum1 = ctx @ params[p + "wo"]
+        sum1 += params[p + "bo"]
+        sum1 += xq
+        y1, ln1_cache = _layer_norm(sum1, params[p + "ln1_g"], params[p + "ln1_b"])
+        pre = y1 @ params[p + "ffn_w1"]
+        pre += params[p + "ffn_b1"]
         act, gelu_cdf = _gelu(pre)
-        ffn_out = act @ params[p + "ffn_w2"] + params[p + "ffn_b2"]
-        y2, ln2_cache = _layer_norm(y1 + ffn_out, params[p + "ln2_g"], params[p + "ln2_b"])
+        sum2 = act @ params[p + "ffn_w2"]
+        sum2 += params[p + "ffn_b2"]
+        sum2 += y1
+        y2, ln2_cache = _layer_norm(sum2, params[p + "ln2_g"], params[p + "ln2_b"])
         tape.layer_caches.append(
             {
                 "x": x, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "ctx": ctx,

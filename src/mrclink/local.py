@@ -3,19 +3,22 @@ NIL verifier, the joint loss, and the local training loop. The model
 container, option encoder, scoring head and checkpoint codec defined here are
 shared with the global pass.
 
-Each mention is one padded encoder batch: a ``[CLS] description [SEP] query
-[SEP] option [SEP]`` row per option, plus the ``[CLS] query [SEP]`` row that
-stage 1 of the verifier reads when the verifier is on. The head softmaxes
-over the option rows, the verifier MLP reads the query row, and training
-sends both gradients back through one encoder backward. Rows are encoded
-independently; the softmax couples the options only at the end. Training
-sums gradients in a fixed order so a fixed seed reproduces bitwise-identical
-parameters.
+Each text is one padded encoder batch: for each mention with candidates, a
+``[CLS] description [SEP] query [SEP] option [SEP]`` row per option, then the
+``[CLS] query [SEP]`` row that stage 1 of the verifier reads when the verifier
+is on. A mention whose rows pad to another width than the others' gets a
+batch of its own, so every mention is padded as if scored alone. Each
+mention's head softmaxes over its option rows and its verifier MLP reads its
+query row. Training scores one mention per batch and sends both gradients
+back through one encoder backward. Rows are encoded independently; the
+softmax couples a mention's options only at the end. Training sums gradients
+in a fixed order so a fixed seed reproduces bitwise-identical parameters.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import ClassVar, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -30,6 +33,7 @@ from .corpus import (
     assemble_option_sequence,
     assemble_query_sequence,
     build_query,
+    tokenize,
 )
 from .encoder import EncoderConfig, EncoderTape
 from .errors import ModelConfigError
@@ -68,8 +72,10 @@ class LocalScores:
 
 @dataclass
 class ScoreTape:
-    """Backward state of one ``score_options`` call: the encoder tape, the
-    pooled rows (options, then the query row) and the verifier's hidden layer."""
+    """Backward state of one candidate set scored by ``score_options``: the
+    tape of the encoder batch that holds its rows, its pooled rows (options,
+    then the query row) and the verifier's hidden layer (None with the
+    verifier off)."""
 
     enc_tape: EncoderTape
     pooled: np.ndarray
@@ -190,25 +196,29 @@ class LocalModel(Model):
         )
 
 
-def encode_options(
-    model: Model, options: Sequence[Entity], query: str, extra_rows: Sequence[Sequence[int]] = ()
-) -> tuple[np.ndarray, EncoderTape]:
-    """Pooled vectors of ``[CLS] description [SEP] query [SEP] option [SEP]``,
-    one row per option, then one per token sequence of ``extra_rows``, all
-    encoded as one padded batch.
-    """
+def encode_rows(model: Model, rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, EncoderTape]:
+    """Pooled vectors of token-id rows, encoded as one batch padded to its longest row."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    ids = np.full((len(rows), int(lengths.max())), PAD_ID, dtype=np.int64)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(chain.from_iterable(rows), np.int64)
+    return enc.encode_batch(model.enc_params, model.config, ids, lengths)
+
+
+def option_rows(model: Model, options: Sequence[Entity], query: Sequence[int]) -> list[tuple[int, ...]]:
+    """One ``[CLS] description [SEP] query [SEP] option [SEP]`` row per option,
+    for the token ids of a query."""
     if not options:
         raise ValueError("candidate set must be non-empty")
-    seqs = [
-        assemble_option_sequence(e.description, query, e.canonical_name, model.vocab, model.config.max_len)
+    vocab, max_len = model.vocab, model.config.max_len
+    return [
+        assemble_option_sequence(vocab.kb_ids(e.description), query, vocab.kb_ids(e.canonical_name), max_len)
         for e in options
     ]
-    seqs.extend(extra_rows)
-    lengths = np.asarray([len(s) for s in seqs], dtype=np.int64)
-    ids = np.full((len(seqs), int(lengths.max())), PAD_ID, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        ids[i, : len(s)] = s
-    return enc.encode_batch(model.enc_params, model.config, ids, lengths)
+
+
+def encode_options(model: Model, options: Sequence[Entity], query: str) -> tuple[np.ndarray, EncoderTape]:
+    """Pooled vectors of the option rows of one query, encoded as one padded batch."""
+    return encode_rows(model, option_rows(model, options, tokenize(query, model.vocab)))
 
 
 def head_softmax(head: Mapping[str, np.ndarray], vectors: np.ndarray) -> np.ndarray:
@@ -231,20 +241,51 @@ def head_backward(
     return np.outer(dlogits, head["score_w"])
 
 
-def score_options(model: LocalModel, candidates: CandidateSet, query: str) -> tuple[LocalScores, ScoreTape]:
-    """Encode the option rows, plus the ``[CLS] query [SEP]`` row when the
-    verifier is on, in one batch; softmax the head logits over the option
-    rows and judge linkability from the query row.
+def score_options(
+    model: LocalModel, pairs: Sequence[tuple[CandidateSet, str]]
+) -> tuple[list[LocalScores], list[ScoreTape]]:
+    """Score each (candidate set, query) pair of one text: one ``LocalScores``
+    and one ``ScoreTape`` per pair.
+
+    A pair's rows are its option rows, then its ``[CLS] query [SEP]`` row
+    when the verifier is on; its head softmaxes over its option rows and its
+    verifier judges linkability from its query row. Pairs whose longest rows
+    are equally long share one padded encoder batch. A row's attention sums
+    run over the batch width, and their rounding depends on it, so each pair
+    is padded exactly as it would be alone and gets bitwise the scores it
+    gets alone. Rows are assembled in pair order, which is also the order in
+    which a sequence overflowing ``max_len`` is found.
     """
-    extra = ()
-    if model.nil_verifier:
-        extra = (assemble_query_sequence(query, model.vocab, model.config.max_len),)
-    pooled, tape = encode_options(model, candidates.options, query, extra)
-    n = len(candidates.options)
-    judgement, hidden = nil_stage1(model, pooled[n]) if model.nil_verifier else (None, None)
-    probs = head_softmax(model.head, pooled[:n])
-    scores = LocalScores(option_ids=candidates.option_ids, probs=probs, pooled=pooled[:n], nil=judgement)
-    return scores, ScoreTape(enc_tape=tape, pooled=pooled, nil_hidden=hidden)
+    if not pairs:
+        raise ValueError("no candidate set to score")
+    rows_of: list[list[tuple[int, ...]]] = []
+    for candidates, query in pairs:
+        query_ids = tokenize(query, model.vocab)
+        rows = option_rows(model, candidates.options, query_ids)
+        if model.nil_verifier:
+            rows.append(assemble_query_sequence(query_ids, model.config.max_len))
+        rows_of.append(rows)
+    widths = [max(map(len, rows)) for rows in rows_of]
+    scored: dict[int, tuple[LocalScores, ScoreTape]] = {}
+    for width in dict.fromkeys(widths):
+        members = [i for i, w in enumerate(widths) if w == width]
+        pooled, enc_tape = encode_rows(model, [row for i in members for row in rows_of[i]])
+        at = 0
+        for i in members:
+            candidates = pairs[i][0]
+            n = len(candidates.options)
+            judgement = hidden = None
+            if model.nil_verifier:
+                judgement, hidden = nil_stage1(model, pooled[at + n])
+            rows = pooled[at : at + len(rows_of[i])]
+            probs = head_softmax(model.head, rows[:n])
+            scored[i] = (
+                LocalScores(candidates.option_ids, probs, rows[:n], judgement),
+                ScoreTape(enc_tape=enc_tape, pooled=rows, nil_hidden=hidden),
+            )
+            at += len(rows)
+    scores, tapes = zip(*(scored[i] for i in range(len(pairs))))
+    return list(scores), list(tapes)
 
 
 def answer_loss(scores: LocalScores, gold_index: int) -> tuple[float, np.ndarray]:
@@ -301,19 +342,19 @@ def run_local_pass(
     index: AliasIndex,
     cfg: RunConfig,
 ) -> list[MentionLocalResult]:
-    """Candidate generation plus local scoring and NIL verification for every mention."""
+    """Candidate generation plus local scoring and NIL verification for every
+    mention; the mentions with candidates are scored in one ``score_options``
+    call, and a mention without any is NIL."""
+    candidates = [generate_candidates(index, m.surface, cfg.k, with_nil=model.nil_verifier) for m in text.mentions]
+    pairs = [(c, build_query(text, m)) for m, c in zip(text.mentions, candidates) if c.options]
+    scored = iter(score_options(model, pairs)[0] if pairs else ())
     results = []
-    with_nil = model.nil_verifier
-    for m in text.mentions:
-        cands = generate_candidates(index, m.surface, cfg.k, with_nil=with_nil)
-        query = build_query(text, m)
+    for m, cands in zip(text.mentions, candidates):
         if not cands.options:
             empty = LocalScores(option_ids=(), probs=np.zeros(0), pooled=np.zeros((0, model.config.d)))
-            results.append(
-                MentionLocalResult(m, cands, empty, nil_prob=None, selected=NIL, overridden=False)
-            )
+            results.append(MentionLocalResult(m, cands, empty, nil_prob=None, selected=NIL, overridden=False))
             continue
-        scores, _ = score_options(model, cands, query)
+        scores = next(scored)
         nil_prob = None if scores.nil is None else scores.nil.prob
         selected, overridden = local_predict(scores, cfg.nil_threshold, cfg.nil_override)
         results.append(MentionLocalResult(m, cands, scores, nil_prob, selected, overridden))
@@ -346,7 +387,8 @@ def local_backward(
     (ignored with the verifier off).
 
     The head gradient goes into the option rows and the verifier-MLP gradient
-    into the query row of one ``dpooled``, sent back in one encoder backward.
+    into the query row of one ``dpooled``, sent back in one encoder backward,
+    so the tape's encoder batch must hold this candidate set's rows alone.
     """
     grads = np.zeros_like(model.flat)
     views = model.views(grads)
@@ -459,7 +501,7 @@ def train_local(
                 gold_index = cands.nil_index
             query = build_query(text, mention)
 
-            scores, tape = score_options(model, cands, query)
+            [scores], [tape] = score_options(model, [(cands, query)])
             l_ans, dlogits = answer_loss(scores, gold_index)
             l_nil, dlogit = (0.0, 0.0) if scores.nil is None else nil_loss(scores.nil, linkable)
             grads = local_backward(model, tape, dlogits, dlogit, cfg)

@@ -65,12 +65,12 @@ def init_gate_params(d: int, seed: int) -> dict[str, np.ndarray]:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: ``1 / (1 + e)`` where ``x >= 0`` and
+    ``e / (1 + e)`` elsewhere, with ``e = exp(-|x|)``. ``minimum(x, -x)`` is
+    ``-|x|`` that keeps the sign of a NaN input, as ``exp(x)`` would."""
+    e = np.exp(np.minimum(x, -x))
+    den = 1.0 + e
+    return np.where(x >= 0, 1.0 / den, e / den)
 
 
 @dataclass

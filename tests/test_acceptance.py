@@ -160,10 +160,10 @@ def test_criterion_2_gradient_suite():
 
             # NIL stage-1 BCE through the verifier MLP and encoder
             def nil_loss_fn():
-                s, _ = score_options(model, cands, query)
+                [s], _ = score_options(model, [(cands, query)])
                 return nil_loss(s.nil, True)[0]
 
-            scores, tape = score_options(model, cands, query)
+            [scores], [tape] = score_options(model, [(cands, query)])
             _, dlogit = nil_loss(scores.nil, True)
             nil_only = RunConfig(alpha1=0.0, alpha2=1.0)
             nil_grads = model.named(local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only))
@@ -173,12 +173,12 @@ def test_criterion_2_gradient_suite():
 
             # joint local loss through both paths
             def local_loss_fn():
-                scores, _ = score_options(model, cands, query)
+                [scores], _ = score_options(model, [(cands, query)])
                 l_ans, _ = answer_loss(scores, gold)
                 l_nil, _ = nil_loss(scores.nil, True)
                 return joint_local_loss(l_ans, l_nil, cfg)
 
-            scores, tape = score_options(model, cands, query)
+            [scores], [tape] = score_options(model, [(cands, query)])
             _, dl = answer_loss(scores, gold)
             _, dlogit = nil_loss(scores.nil, True)
             grads = model.named(local_backward(model, tape, dl, dlogit, cfg))

@@ -160,15 +160,18 @@ class TestAssemble:
     def setup_method(self):
         self.vocab = Vocabulary.build(["d q o w0 w1 w2 w3 w4 w5 w6 w7 w8 w9"])
 
+    def ids(self, text):
+        return tokenize(text, self.vocab)
+
     def test_minimal_sequence(self):
-        seq = assemble_option_sequence("d", "q", "o", self.vocab, max_len=16)
+        seq = assemble_option_sequence(self.ids("d"), self.ids("q"), self.ids("o"), max_len=16)
         d, q, o = self.vocab.id("d"), self.vocab.id("q"), self.vocab.id("o")
         assert seq == (CLS_ID, d, SEP_ID, q, SEP_ID, o, SEP_ID)
         assert len(seq) == 7
 
     def test_description_truncated_from_end(self):
         description = " ".join(f"w{i % 10}" for i in range(1000))
-        seq = assemble_option_sequence(description, "q", "o", self.vocab, max_len=64)
+        seq = assemble_option_sequence(self.ids(description), self.ids("q"), self.ids("o"), max_len=64)
         assert len(seq) == 64
         assert seq[-1] == SEP_ID
         assert seq[0] == CLS_ID
@@ -179,11 +182,11 @@ class TestAssemble:
 
     def test_overflow_when_query_and_option_cannot_fit(self):
         with pytest.raises(SequenceOverflowError):
-            assemble_option_sequence("d", " ".join(["q"] * 30), "o", self.vocab, max_len=16)
+            assemble_option_sequence(self.ids("d"), self.ids(" ".join(["q"] * 30)), self.ids("o"), max_len=16)
 
     def test_max_len_floor(self):
         with pytest.raises(ValueError):
-            assemble_option_sequence("d", "q", "o", self.vocab, max_len=7)
+            assemble_option_sequence(self.ids("d"), self.ids("q"), self.ids("o"), max_len=7)
 
     def test_three_separators_one_leading_cls(self):
         rng = np.random.default_rng(4)
@@ -191,10 +194,9 @@ class TestAssemble:
         for _ in range(50):
             mk = lambda n: " ".join(words[int(rng.integers(0, 10))] for _ in range(n))
             seq = assemble_option_sequence(
-                mk(int(rng.integers(0, 30))),
-                mk(int(rng.integers(1, 6))),
-                mk(int(rng.integers(1, 3))),
-                self.vocab,
+                self.ids(mk(int(rng.integers(0, 30)))),
+                self.ids(mk(int(rng.integers(1, 6)))),
+                self.ids(mk(int(rng.integers(1, 3)))),
                 max_len=32,
             )
             assert seq[0] == CLS_ID
@@ -202,11 +204,11 @@ class TestAssemble:
             assert len(seq) <= 32
 
     def test_query_sequence(self):
-        seq = assemble_query_sequence("q q", self.vocab, max_len=16)
+        seq = assemble_query_sequence(self.ids("q q"), max_len=16)
         q = self.vocab.id("q")
         assert seq == (CLS_ID, q, q, SEP_ID)
         with pytest.raises(SequenceOverflowError):
-            assemble_query_sequence(" ".join(["q"] * 20), self.vocab, max_len=8)
+            assemble_query_sequence(self.ids(" ".join(["q"] * 20)), max_len=8)
 
 
 class TestAnnotatedTextValidation:

@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrclink.config import EncoderSettings, RunConfig
 from mrclink.encoder import EncoderConfig
-from mrclink.errors import ModelConfigError
+from mrclink.errors import ModelConfigError, SequenceOverflowError
 from mrclink.kb import NIL, CandidateSet, Entity, KnowledgeBase, build_index, generate_candidates
 from mrclink.local import (
     LocalModel,
@@ -28,7 +30,7 @@ from mrclink.local import (
     with_gold,
 )
 from mrclink import encoder as enc
-from mrclink.corpus import AnnotatedText, Mention, assemble_query_sequence
+from mrclink.corpus import AnnotatedText, Mention, assemble_query_sequence, build_query, tokenize
 from mrclink.encoder import softmax
 
 
@@ -79,7 +81,7 @@ class TestSoftmaxScores:
         model = tiny_model(kb, corpus)
         same = Entity("x", "same name", "same words here", ("same",), 1)
         cands = CandidateSet("same", (same, same, same), includes_nil=False)
-        scores, _ = score_options(model, cands, "what [MASK] does")
+        [scores], _ = score_options(model, [(cands, "what [MASK] does")])
         np.testing.assert_allclose(scores.probs, 1.0 / 3.0, atol=1e-12)
 
     def test_probabilities_form_a_simplex(self):
@@ -87,7 +89,7 @@ class TestSoftmaxScores:
         model = tiny_model(kb, corpus)
         index = build_index(kb)
         cands = generate_candidates(index, "alpha", 5, with_nil=True)
-        scores, _ = score_options(model, cands, "[MASK] kicks ball game")
+        [scores], _ = score_options(model, [(cands, "[MASK] kicks ball game")])
         assert abs(scores.probs.sum() - 1.0) < 1e-9
         assert np.all(scores.probs > 0) and np.all(scores.probs < 1)
 
@@ -98,8 +100,8 @@ class TestSoftmaxScores:
         cands = CandidateSet("alpha", ents, includes_nil=False)
         perm = (2, 0, 1)
         shuffled = CandidateSet("alpha", tuple(ents[i] for i in perm), includes_nil=False)
-        a, _ = score_options(model, cands, "[MASK] kicks ball game")
-        b, _ = score_options(model, shuffled, "[MASK] kicks ball game")
+        [a], _ = score_options(model, [(cands, "[MASK] kicks ball game")])
+        [b], _ = score_options(model, [(shuffled, "[MASK] kicks ball game")])
         np.testing.assert_allclose(b.probs, a.probs[list(perm)], atol=1e-12)
         assert a.option_ids[int(np.argmax(a.probs))] == b.option_ids[int(np.argmax(b.probs))]
 
@@ -107,7 +109,7 @@ class TestSoftmaxScores:
         kb, corpus = tiny_world()
         model = tiny_model(kb, corpus)
         with pytest.raises(ValueError):
-            score_options(model, CandidateSet("s", (), includes_nil=False), "q")
+            score_options(model, [(CandidateSet("s", (), includes_nil=False), "q")])
 
 
 class TestAnswerLoss:
@@ -151,7 +153,7 @@ class TestNilVerifier:
         model = tiny_model(kb, corpus)
         model.nil["out_w"] = np.zeros_like(model.nil["out_w"])
         model.nil["out_b"] = np.zeros(1)
-        scores, _ = score_options(model, alpha_cands(kb), "[MASK] kicks ball game")
+        [scores], _ = score_options(model, [(alpha_cands(kb), "[MASK] kicks ball game")])
         assert scores.nil.prob == pytest.approx(0.5, abs=1e-12)
 
     def test_saturated_logit(self):
@@ -159,7 +161,7 @@ class TestNilVerifier:
         model = tiny_model(kb, corpus)
         model.nil["out_w"] = np.zeros_like(model.nil["out_w"])
         model.nil["out_b"] = np.array([20.0])
-        scores, _ = score_options(model, alpha_cands(kb), "[MASK] kicks ball game")
+        [scores], _ = score_options(model, [(alpha_cands(kb), "[MASK] kicks ball game")])
         assert scores.nil.prob > 0.9999
 
     def test_bce_values(self):
@@ -184,10 +186,10 @@ class TestNilVerifier:
         query = "[MASK] kicks ball game"
 
         def loss_fn():
-            scores, _ = score_options(model, cands, query)
+            [scores], _ = score_options(model, [(cands, query)])
             return nil_loss(scores.nil, True)[0]
 
-        scores, tape = score_options(model, cands, query)
+        [scores], [tape] = score_options(model, [(cands, query)])
         _, dlogit = nil_loss(scores.nil, True)
         nil_only = RunConfig(alpha1=0.0, alpha2=1.0)
         grads = model.named(local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only))
@@ -278,12 +280,12 @@ class TestJointGradients:
         gold_index = 0
 
         def loss_fn():
-            scores, _ = score_options(model, cands, query)
+            [scores], _ = score_options(model, [(cands, query)])
             l_ans, _ = answer_loss(scores, gold_index)
             l_nil, _ = nil_loss(scores.nil, True)
             return joint_local_loss(l_ans, l_nil, cfg)
 
-        scores, tape = score_options(model, cands, query)
+        [scores], [tape] = score_options(model, [(cands, query)])
         _, dlogits = answer_loss(scores, gold_index)
         _, dlogit = nil_loss(scores.nil, True)
         grads = model.named(local_backward(model, tape, dlogits, dlogit, cfg))
@@ -329,8 +331,8 @@ class TestQueryRowRidesAlong:
         plain = replace(model, nil_verifier=False)
         cands = alpha_cands(kb)
         for query in ("[MASK] kicks ball game", "what [MASK] does", "[MASK]"):
-            with_row, _ = score_options(model, cands, query)
-            without, _ = score_options(plain, cands, query)
+            [with_row], _ = score_options(model, [(cands, query)])
+            [without], _ = score_options(plain, [(cands, query)])
             assert with_row.probs.tobytes() == without.probs.tobytes()
             assert with_row.pooled.tobytes() == without.pooled.tobytes()
             assert without.nil is None
@@ -340,13 +342,13 @@ class TestQueryRowRidesAlong:
         model = tiny_model(kb, corpus, seed=5)
         cands = alpha_cands(kb)
         for query in ("[MASK] kicks ball game", "alpha sings [MASK] tune", "[MASK]"):
-            scores, _ = score_options(model, cands, query)
-            seq = assemble_query_sequence(query, model.vocab, model.config.max_len)
+            [scores], _ = score_options(model, [(cands, query)])
+            seq = assemble_query_sequence(tokenize(query, model.vocab), model.config.max_len)
             pooled, _ = enc.encode_batch(model.enc_params, model.config, np.array([seq]))
             alone, _ = nil_stage1(model, pooled[0])
             assert abs(scores.nil.prob - alone.prob) <= 1e-12
 
-    def test_one_encoder_batch_per_mention(self, monkeypatch):
+    def test_one_encoder_batch_per_text(self, monkeypatch):
         kb, _ = tiny_world()
         text = AnnotatedText(
             "alpha met beta near alpha",
@@ -356,13 +358,88 @@ class TestQueryRowRidesAlong:
         calls = counting(monkeypatch, "encode_batch")
         results = run_local_pass(model, text, build_index(kb), small_cfg())
         assert len(results) == 3 and all(r.nil_prob is not None for r in results)
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     def test_one_encoder_backward_per_training_step(self, monkeypatch):
         kb, corpus = tiny_world()
         calls = counting(monkeypatch, "backprop_batch")
         train_local(corpus, kb, small_cfg(epochs_local=2))
         assert len(calls) == 2 * len(corpus)
+
+
+SURFACES = ("alpha", "beta", "alpha sport", "alpha music", "gamma")  # 2, 1, 1, 1 and 0 entities
+FILLER = ("kicks", "ball", "song", "the", "near")
+
+
+def text_of(words):
+    """An annotated text of ``words``; each ``(surface,)`` tuple is a mention."""
+    parts, mentions, at = [], [], 0
+    for w in words:
+        surface = w[0] if isinstance(w, tuple) else w
+        if isinstance(w, tuple):
+            mentions.append(Mention(at, at + len(surface), surface))
+        parts.append(surface)
+        at += len(surface) + 1
+    return AnnotatedText(" ".join(parts), tuple(mentions))
+
+
+@st.composite
+def local_texts(draw):
+    words = []
+    for _ in range(draw(st.integers(1, 5))):
+        words.extend(draw(st.lists(st.sampled_from(FILLER), max_size=2)))
+        words.append((draw(st.sampled_from(SURFACES)),))
+    words.extend(draw(st.lists(st.sampled_from(FILLER), max_size=2)))
+    return text_of(words)
+
+
+class TestPerTextBatch:
+    """``run_local_pass`` scores all of a text's mentions in one batch, and
+    each mention gets bitwise what a batch of its own gives it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=local_texts(), k=st.integers(1, 3), nil_verifier=st.booleans())
+    @example(text=text_of([("alpha",), "near", ("gamma",), "the", ("beta",)]), k=2, nil_verifier=False)
+    def test_matches_one_pair_calls(self, text, k, nil_verifier):
+        kb, corpus = tiny_world()
+        model = tiny_model(kb, corpus + [text], seed=6, nil_verifier=nil_verifier)
+        cfg = small_cfg(k=k, nil_verifier=nil_verifier)
+        index = build_index(kb)
+        results = run_local_pass(model, text, index, cfg)
+        assert [r.mention for r in results] == list(text.mentions)
+        for r in results:
+            cands = generate_candidates(index, r.mention.surface, k, with_nil=nil_verifier)
+            assert r.candidates == cands
+            if not cands.options:
+                assert (r.scores.probs.size, r.nil_prob, r.selected, r.overridden) == (0, None, NIL, False)
+                continue
+            [alone], _ = score_options(model, [(cands, build_query(text, r.mention))])
+            assert r.scores.probs.tobytes() == alone.probs.tobytes()
+            assert r.scores.pooled.tobytes() == alone.pooled.tobytes()
+            if nil_verifier:
+                assert np.float64(r.nil_prob).tobytes() == np.float64(alone.nil.prob).tobytes()
+            else:
+                assert r.nil_prob is None and alone.nil is None
+            assert (r.selected, r.overridden) == local_predict(alone, cfg.nil_threshold, cfg.nil_override)
+
+    def test_overflow_in_second_mention_raises_its_own_error(self):
+        # 27 tokens: masking "alpha sport" leaves a 26-token query that fits
+        # beside a 2-token option name in max_len 32; masking "alpha" leaves 27
+        words = [("alpha sport",), "met", ("alpha",)] + ["the"] * 23
+        text = text_of(words)
+        kb, corpus = tiny_world()
+        model = tiny_model(kb, corpus, max_len=32)
+        cfg = small_cfg(k=2)
+        index = build_index(kb)
+        first, second = (
+            (generate_candidates(index, m.surface, 2), build_query(text, m)) for m in text.mentions
+        )
+        score_options(model, [first])
+        with pytest.raises(SequenceOverflowError) as alone:
+            score_options(model, [second])
+        with pytest.raises(SequenceOverflowError) as batched:
+            run_local_pass(model, text, index, cfg)
+        assert str(batched.value) == str(alone.value)
 
 
 def small_cfg(seed=0, **kw):

@@ -14,6 +14,7 @@ from mrclink.kb import NIL, CandidateSet, Entity, KnowledgeBase, build_index, ge
 from mrclink.local import LocalModel, build_vocabulary, run_local_pass
 from mrclink.multiturn import (
     GlobalModel,
+    _sigmoid,
     gate_backward,
     gate_fuse_batch,
     global_backward,
@@ -72,6 +73,24 @@ class TestRankMentions:
         g1 = rank_mentions([p]).gaps[0]
         g2 = rank_mentions([p[rng.permutation(5)]]).gaps[0]
         assert g1 == pytest.approx(g2, abs=1e-15)
+
+
+class TestSigmoid:
+    @staticmethod
+    def two_branch(x):
+        """Reference: ``1 / (1 + exp(-x))`` on ``x >= 0``, ``exp(x) / (1 + exp(x))`` elsewhere."""
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def test_bitwise_equal_to_two_branch_reference(self):
+        edge = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, np.nan, -np.nan, np.inf, -np.inf, 36.7, -745.2])
+        normal = np.random.default_rng(11).normal(scale=8.0, size=(5, 32))
+        for x in (edge, normal):
+            assert _sigmoid(x).tobytes() == self.two_branch(x).tobytes()
 
 
 class TestGateFuse:
@@ -284,14 +303,16 @@ class TestGlobalScoring:
         scores, _ = global_score_mention(glob, cands, query, history)
 
         from mrclink import encoder as enc
-        from mrclink.corpus import assemble_option_sequence
+        from mrclink.corpus import assemble_option_sequence, tokenize
 
         def sig(x):
             return 1.0 / (1.0 + np.exp(-x))
 
         logits = []
         for ent in cands.options:
-            seq = assemble_option_sequence(ent.description, query, ent.canonical_name, glob.vocab, 32)
+            seq = assemble_option_sequence(
+                tokenize(ent.description, glob.vocab), tokenize(query, glob.vocab), tokenize(ent.canonical_name, glob.vocab), 32
+            )
             v = enc.encode_batch(glob.enc_params, glob.config, np.array([seq]))[0][0]
             u = sig(glob.gate["update_w"] @ np.concatenate([v, history]))
             f = np.tanh(glob.gate["fuse_w"] @ np.concatenate([u * history, v]))

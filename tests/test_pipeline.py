@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from mrclink.config import EncoderSettings, RunConfig
-from mrclink.corpus import AnnotatedText, Mention
+from mrclink.corpus import MASK, AnnotatedText, Mention, build_query, tokenize
 from mrclink.encoder import EncoderConfig
 from mrclink.errors import InputFormatError, SequenceOverflowError
-from mrclink.kb import NIL, Entity, KnowledgeBase, build_index, prior_baseline
+from mrclink.kb import NIL, Entity, KnowledgeBase, build_index, generate_candidates, prior_baseline
 from mrclink.local import LocalModel, build_vocabulary
 from mrclink.multiturn import GlobalModel
 from mrclink.pipeline import (
@@ -138,6 +138,34 @@ class TestLinkText:
         index = build_index(kb)
         decisions = link_text(corpus[0], index, local, None, cfg)
         assert all(d.global_probs is None for d in decisions)
+
+
+class TestKbTokenMemo:
+    def test_memo_holds_candidate_strings_only(self):
+        world = generate_synthetic_world(SynthSpec(n_entities=80, n_train_texts=20, n_test_texts=50, seed=7))
+        texts = world.test
+        vocab = build_vocabulary(world.train, world.kb)
+        config = EncoderConfig(vocab_size=len(vocab), max_len=48, d=8, n_layers=1, n_heads=2, seed=0)
+        local = LocalModel.init(config, vocab)
+        glob = GlobalModel.from_local(local, max_len=64)
+        cfg = RunConfig(encoder=EncoderSettings(d=8, n_layers=1, n_heads=2), max_len_local=48, max_len_global=64)
+        index = build_index(world.kb)
+        for text in texts:
+            link_text(text, index, local, glob, cfg)
+
+        seen = {
+            s
+            for text in texts
+            for m in text.mentions
+            for e in generate_candidates(index, m.surface, cfg.k).options
+            for s in (e.description, e.canonical_name)
+        }
+        queries = {build_query(text, m) for text in texts for m in text.mentions}
+        memo = vocab._kb_ids
+        assert len(texts) == 50 and memo
+        assert memo.keys() <= seen
+        assert not any(MASK in s for s in memo) and not memo.keys() & queries
+        assert all(ids == tuple(tokenize(s, vocab)) for s, ids in memo.items())
 
 
 class TestLinkCorpus:
