@@ -14,7 +14,6 @@ from .corpus import (
     Vocabulary,
     assemble_option_sequence,
     build_query,
-    detokenize,
     load_corpus,
     save_corpus,
     tokenize,
@@ -38,7 +37,6 @@ from .kb import (
 from .local import (
     LocalModel,
     LocalScores,
-    NilJudgement,
     answer_loss,
     joint_local_loss,
     load_model,

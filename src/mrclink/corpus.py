@@ -54,7 +54,6 @@ class Vocabulary:
         if len(set(ids)) != len(ids):
             raise InputFormatError("vocabulary mapping must be injective")
         self._token_to_id = dict(token_to_id)
-        self._id_to_token = {i: t for t, i in self._token_to_id.items()}
         self._kb_ids: dict[str, tuple[int, ...]] = {}
 
     @classmethod
@@ -71,12 +70,6 @@ class Vocabulary:
 
     def id(self, token: str) -> int:
         return self._token_to_id.get(token, UNK_ID)
-
-    def token(self, token_id: int) -> str:
-        try:
-            return self._id_to_token[token_id]
-        except KeyError:
-            raise KeyError(f"unknown token id {token_id}") from None
 
     def __len__(self) -> int:
         return len(self._token_to_id)
@@ -103,10 +96,6 @@ class Vocabulary:
 def tokenize(text: str, vocab: Vocabulary) -> list[int]:
     """Token ids for a text; out-of-vocabulary tokens map to the UNK id."""
     return [vocab.id(tok) for tok in split_tokens(text)]
-
-
-def detokenize(ids: Sequence[int], vocab: Vocabulary) -> str:
-    return " ".join(vocab.token(i) for i in ids)
 
 
 @dataclass(frozen=True)
@@ -251,7 +240,7 @@ __all__ = [
     "PAD", "UNK", "CLS", "SEP", "MASK",
     "PAD_ID", "UNK_ID", "CLS_ID", "SEP_ID", "MASK_ID",
     "Vocabulary", "Mention", "AnnotatedText",
-    "split_tokens", "tokenize", "detokenize",
+    "split_tokens", "tokenize",
     "build_query", "update_query",
     "assemble_option_sequence", "assemble_query_sequence",
     "load_corpus", "save_corpus", "NIL",

@@ -88,11 +88,6 @@ def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def param_names(config: EncoderConfig) -> list[str]:
-    """Declaration order of all parameter tensors."""
-    return list(param_shapes(config))
-
-
 def init_params(config: EncoderConfig) -> dict[str, np.ndarray]:
     """Seeded init: uniform +-1/sqrt(d) weights, zero biases, unit layer-norm
     gains; weights draw from one generator in declaration order."""

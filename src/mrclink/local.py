@@ -52,22 +52,16 @@ from .kb import (
 CHECKPOINT_FORMAT = "mrclink/1"
 
 
-@dataclass(frozen=True)
-class NilJudgement:
-    """Probability that the mention is linkable, read from the query alone."""
-
-    prob: float
-
-
 @dataclass
 class LocalScores:
     """Per-option probabilities and pooled vectors for one mention, and the
-    stage-1 verifier judgement (None with the verifier off)."""
+    stage-1 verifier's probability that the mention is linkable (None with
+    the verifier off)."""
 
     option_ids: tuple[str, ...]
     probs: np.ndarray
     pooled: np.ndarray
-    nil: NilJudgement | None = None
+    nil: float | None = None
 
 
 @dataclass
@@ -274,13 +268,13 @@ def score_options(
         for i in members:
             candidates = pairs[i][0]
             n = len(candidates.options)
-            judgement = hidden = None
+            nil = hidden = None
             if model.nil_verifier:
-                judgement, hidden = nil_stage1(model, pooled[at + n])
+                nil, hidden = nil_stage1(model, pooled[at + n])
             rows = pooled[at : at + len(rows_of[i])]
             probs = head_softmax(model.head, rows[:n])
             scored[i] = (
-                LocalScores(candidates.option_ids, probs, rows[:n], judgement),
+                LocalScores(candidates.option_ids, probs, rows[:n], nil),
                 ScoreTape(enc_tape=enc_tape, pooled=rows, nil_hidden=hidden),
             )
             at += len(rows)
@@ -293,20 +287,21 @@ def answer_loss(scores: LocalScores, gold_index: int) -> tuple[float, np.ndarray
     return enc.cross_entropy(scores.probs, gold_index)
 
 
-def nil_stage1(model: LocalModel, pooled_query: np.ndarray) -> tuple[NilJudgement, np.ndarray]:
+def nil_stage1(model: LocalModel, pooled_query: np.ndarray) -> tuple[float, np.ndarray]:
     """Sketchy read of the query alone: sigmoid(MLP(pooled([CLS] Q [SEP]))).
 
-    Returns the judgement and the MLP's hidden layer, which the backward reads.
+    Returns the probability that the mention is linkable and the MLP's hidden
+    layer, which the backward reads.
     """
     hidden = np.tanh(pooled_query @ model.nil["hidden_w"] + model.nil["hidden_b"])
     logit = float(hidden @ model.nil["out_w"] + model.nil["out_b"][0])
-    return NilJudgement(prob=float(1.0 / (1.0 + np.exp(-logit)))), hidden
+    return float(1.0 / (1.0 + np.exp(-logit))), hidden
 
 
-def nil_loss(judgement: NilJudgement, linkable: bool) -> tuple[float, float]:
-    """Binary cross entropy; returns the loss and the gradient w.r.t. the pre-sigmoid logit."""
+def nil_loss(p: float, linkable: bool) -> tuple[float, float]:
+    """Binary cross entropy of the linkable probability ``p``; returns the
+    loss and the gradient w.r.t. the pre-sigmoid logit."""
     y = 1.0 if linkable else 0.0
-    p = judgement.prob
     loss = -(y * np.log(max(p, 1e-30)) + (1.0 - y) * np.log(max(1.0 - p, 1e-30)))
     return float(loss), p - y
 
@@ -319,7 +314,7 @@ def joint_local_loss(ans: float, nil: float, cfg: RunConfig) -> float:
 def local_predict(scores: LocalScores, nil_threshold: float = 0.5, apply_override: bool = True) -> tuple[str, bool]:
     """Argmax over option probabilities, and whether a confident unlinkable
     judgement overrode it to NIL."""
-    if scores.nil is not None and apply_override and scores.nil.prob < nil_threshold:
+    if scores.nil is not None and apply_override and scores.nil < nil_threshold:
         return NIL, True
     return scores.option_ids[int(np.argmax(scores.probs))], False
 
@@ -331,7 +326,6 @@ class MentionLocalResult:
     mention: Mention
     candidates: CandidateSet
     scores: LocalScores
-    nil_prob: float | None
     selected: str
     overridden: bool
 
@@ -352,12 +346,11 @@ def run_local_pass(
     for m, cands in zip(text.mentions, candidates):
         if not cands.options:
             empty = LocalScores(option_ids=(), probs=np.zeros(0), pooled=np.zeros((0, model.config.d)))
-            results.append(MentionLocalResult(m, cands, empty, nil_prob=None, selected=NIL, overridden=False))
+            results.append(MentionLocalResult(m, cands, empty, selected=NIL, overridden=False))
             continue
         scores = next(scored)
-        nil_prob = None if scores.nil is None else scores.nil.prob
         selected, overridden = local_predict(scores, cfg.nil_threshold, cfg.nil_override)
-        results.append(MentionLocalResult(m, cands, scores, nil_prob, selected, overridden))
+        results.append(MentionLocalResult(m, cands, scores, selected, overridden))
     return results
 
 
@@ -376,6 +369,22 @@ def with_gold(candidates: CandidateSet, gold: Entity, k: int) -> CandidateSet:
         entities.append(gold)
     options = tuple(entities) + ((NIL_OPTION,) if candidates.includes_nil else ())
     return CandidateSet(surface=candidates.surface, options=options, includes_nil=candidates.includes_nil)
+
+
+def training_candidates(
+    index: AliasIndex, surface: str, gold: Entity | None, k: int, with_nil: bool
+) -> tuple[CandidateSet, int] | None:
+    """The candidate set a mention trains on and the index of its target: the
+    gold entity, injected by ``with_gold`` when recall misses it, or the NIL
+    option for an unlinkable mention. None when the mention has no target
+    (unlinkable, and the set has no NIL option)."""
+    cands = generate_candidates(index, surface, k, with_nil=with_nil)
+    if gold is not None:
+        cands = with_gold(cands, gold, k)
+        return cands, cands.index_of(gold.id)
+    if cands.includes_nil:
+        return cands, cands.nil_index
+    return None
 
 
 def local_backward(
@@ -493,12 +502,7 @@ def train_local(
             text, mention = train_units[idx]
             gold_entity = _resolve_gold(mention, kb)
             linkable = gold_entity is not None
-            cands = generate_candidates(index, mention.surface, cfg.k, with_nil=cfg.nil_verifier)
-            if linkable:
-                cands = with_gold(cands, gold_entity, cfg.k)
-                gold_index = cands.index_of(gold_entity.id)
-            else:
-                gold_index = cands.nil_index
+            cands, gold_index = training_candidates(index, mention.surface, gold_entity, cfg.k, cfg.nil_verifier)
             query = build_query(text, mention)
 
             [scores], [tape] = score_options(model, [(cands, query)])

@@ -7,7 +7,7 @@ and may run in parallel with identical per-text results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -16,7 +16,8 @@ from .config import GATE_MODES, HISTORY_MODES, RunConfig
 from .corpus import AnnotatedText, Mention, Vocabulary, build_query, update_query
 from .encoder import EncoderConfig, EncoderTape
 from .errors import ModelConfigError
-from .kb import NIL, CandidateSet, Entity, KnowledgeBase, build_index, generate_candidates
+from .kb import NIL, CandidateSet, Entity, KnowledgeBase, build_index
+from .kb import generate_candidates  # noqa: F401  (the perfbench tracer self-test checks this binding)
 from .local import (
     LocalModel,
     MentionLocalResult,
@@ -28,7 +29,7 @@ from .local import (
     head_softmax,
     init_head,
     run_local_pass,
-    with_gold,
+    training_candidates,
     write_log,
 )
 
@@ -48,6 +49,22 @@ def rank_mentions(prob_vectors: Sequence[np.ndarray]) -> AmbiguityRank:
     )
     order = tuple(sorted(range(len(gaps)), key=lambda i: -gaps[i]))
     return AmbiguityRank(order=order, gaps=gaps)
+
+
+def processing_order(local_results: Sequence[MentionLocalResult], cfg: RunConfig) -> AmbiguityRank:
+    """The order in which the turns of linking and training visit a text's
+    mentions: ``rank_mentions`` order, or text order with all-zero gaps under
+    ``no_rerank``. Either way a mention whose set holds exactly one entity and
+    no NIL option moves to the front, ties keeping that order: its link is
+    certain, though its spread is 0, and scoring it in a later turn would
+    give probability 1 and no gradient."""
+    n = len(local_results)
+    if cfg.no_rerank:
+        ranked = AmbiguityRank(order=tuple(range(n)), gaps=(0.0,) * n)
+    else:
+        ranked = rank_mentions([r.scores.probs for r in local_results])
+    certain = [len(r.candidates.options) == 1 and not r.candidates.includes_nil for r in local_results]
+    return replace(ranked, order=tuple(sorted(ranked.order, key=lambda i: not certain[i])))
 
 
 # ----------------------------- gated history fusion -----------------------------
@@ -291,18 +308,68 @@ def global_backward(
     return grads, dhistory
 
 
+# ----------------------------- the turn loop -----------------------------
+
+
+def walk_turns(
+    model: GlobalModel,
+    text: AnnotatedText,
+    order: Sequence[int],
+    options: Sequence[CandidateSet | None],
+    pick: Callable[[int, GlobalScores | None], Entity | None],
+    cfg: RunConfig,
+) -> list[tuple[GlobalScores, GlobalTape] | None]:
+    """Visit the mentions of ``text`` in ``order``, each turn reading the
+    links of the turns before it; linking and teacher-forced training share
+    this loop.
+
+    ``pick(i, scores)`` returns the entity mention ``i`` links to, or None for
+    NIL. On the first turn ``scores`` is None, and the picked entity's option
+    vector under the mention's plain query seeds the history. A later turn
+    whose ``options[i]`` is None or empty is NIL and not scored; otherwise its
+    options are scored against the history and the query rewritten with the
+    earlier links (the plain query under ``no_query_update``), and a link
+    makes the picked option's fused vector (``history_mode`` flow) or raw
+    vector (last) the history. A NIL turn leaves the history unchanged and
+    substitutes no name into later queries.
+
+    Returns each mention's global scores and tape, None where it was not scored.
+    """
+    history = np.zeros(model.config.d)
+    linked: dict[Mention, Entity | None] = {}
+    walked: list[tuple[GlobalScores, GlobalTape] | None] = [None] * len(text.mentions)
+    for turn, i in enumerate(order):
+        mention, cands = text.mentions[i], options[i]
+        if turn == 0:
+            entity = pick(i, None)
+            if entity is not None:
+                history = encode_option_vector(model, entity, build_query(text, mention))
+        elif cands is None or not cands.options:
+            entity = None
+        else:
+            query = build_query(text, mention) if cfg.no_query_update else update_query(text, mention, linked)
+            walked[i] = global_score_mention(model, cands, query, history)
+            scores = walked[i][0]
+            entity = pick(i, scores)
+            if entity is not None:
+                vectors = scores.fused if cfg.history_mode == "flow" else scores.raw
+                history = vectors[cands.index_of(entity.id)]
+        linked[mention] = entity
+    return walked
+
+
 # ----------------------------- multi-turn inference -----------------------------
 
 
 @dataclass
 class MultiTurnResult:
-    """Per-mention global scores (None for the first turn) and the history trace."""
+    """Processing order and gaps, and per-mention global scores (None where
+    a mention was not scored) and turn selections."""
 
     order: tuple[int, ...]
     gaps: tuple[float, ...]
     global_scores: list[GlobalScores | None]
-    turn_selected: list[str | None]
-    history_trace: list[np.ndarray]
+    turn_selected: list[str]
 
 
 def run_multi_turn(
@@ -311,79 +378,32 @@ def run_multi_turn(
     model: GlobalModel,
     cfg: RunConfig,
 ) -> MultiTurnResult:
-    """Process mentions in ambiguity order, feeding each turn the previous links.
+    """Process mentions in ``processing_order``, feeding each turn the previous links.
 
-    The first turn keeps its local decision and seeds the history vector;
-    later turns are scored globally against the updated query. NIL selections
-    (including verifier overrides) contribute no name substitution and leave
-    the history unchanged.
+    The first turn keeps its local decision; a later turn selects the argmax
+    of its global probabilities, or NIL when the verifier overrode the
+    mention.
     """
-    n = len(local_results)
-    if cfg.no_rerank:
-        order, gaps = tuple(range(n)), tuple(0.0 for _ in range(n))
-    else:
-        ranked = rank_mentions([r.scores.probs for r in local_results])
-        order, gaps = ranked.order, ranked.gaps
+    ranked = processing_order(local_results, cfg)
+    turn_selected = [NIL] * len(local_results)
 
-    d = model.config.d
-    history = np.zeros(d)
-    trace: list[np.ndarray] = []
-    linked: dict[Mention, Entity | None] = {}
-    global_scores: list[GlobalScores | None] = [None] * n
-    turn_selected: list[str | None] = [None] * n
-
-    by_id = {}
-    for r in local_results:
-        for ent in r.candidates.options:
-            by_id[ent.id] = ent
-
-    for turn, idx in enumerate(order):
-        res = local_results[idx]
-        if turn == 0:
+    def pick(i: int, scores: GlobalScores | None) -> Entity | None:
+        res = local_results[i]
+        if scores is None:
             selected = res.selected
-            turn_selected[idx] = selected
-            if selected != NIL:
-                entity = by_id[selected]
-                history = encode_option_vector(model, entity, build_query(text, res.mention))
-                linked[res.mention] = entity
-            else:
-                linked[res.mention] = None
-            trace.append(history.copy())
-            continue
-
-        if not res.candidates.options:
-            turn_selected[idx] = NIL
-            linked[res.mention] = None
-            trace.append(history.copy())
-            continue
-
-        if cfg.no_query_update:
-            query = build_query(text, res.mention)
-        else:
-            query = update_query(text, res.mention, linked)
-        scores, _ = global_score_mention(model, res.candidates, query, history)
-        global_scores[idx] = scores
-
-        if res.overridden:
+        elif res.overridden:
             selected = NIL
         else:
             selected = scores.option_ids[int(np.argmax(scores.probs))]
-        turn_selected[idx] = selected
-        if selected != NIL:
-            j = res.candidates.index_of(selected)
-            entity = by_id[selected]
-            history = scores.fused[j].copy() if cfg.history_mode == "flow" else scores.raw[j].copy()
-            linked[res.mention] = entity
-        else:
-            linked[res.mention] = None
-        trace.append(history.copy())
+        turn_selected[i] = selected
+        return None if selected == NIL else res.candidates.options[res.candidates.index_of(selected)]
 
+    walked = walk_turns(model, text, ranked.order, [r.candidates for r in local_results], pick, cfg)
     return MultiTurnResult(
-        order=order,
-        gaps=gaps,
-        global_scores=global_scores,
+        order=ranked.order,
+        gaps=ranked.gaps,
+        global_scores=[None if w is None else w[0] for w in walked],
         turn_selected=turn_selected,
-        history_trace=trace,
     )
 
 
@@ -400,7 +420,9 @@ def train_global(
     """Train the global pass with gold entities driving query updates and history.
 
     The local model stays frozen: it only supplies the processing order. Each
-    text contributes the mean of its per-turn losses to one Adam step.
+    text is walked with the gold entity as every turn's pick, then each
+    scored turn is backpropagated in turn order; the mean of the per-turn
+    losses makes one Adam step.
     """
     index = build_index(kb)
     model = GlobalModel.from_local(
@@ -411,13 +433,7 @@ def train_global(
     )
 
     multi = [t for t in corpus if len(t.mentions) >= 2]
-    orders: list[tuple[int, ...]] = []
-    for text in multi:
-        if cfg.no_rerank:
-            orders.append(tuple(range(len(text.mentions))))
-        else:
-            local_results = run_local_pass(local_model, text, index, cfg)
-            orders.append(rank_mentions([r.scores.probs for r in local_results]).order)
+    orders = [processing_order(run_local_pass(local_model, text, index, cfg), cfg).order for text in multi]
 
     total_steps = cfg.epochs_global * len(multi)
     warmup_steps = enc.warmup_steps(cfg.warmup, total_steps)
@@ -430,54 +446,25 @@ def train_global(
         losses: list[float] = []
         n_scored = n_correct = 0
         for ti in perm:
-            text = multi[ti]
-            order = orders[ti]
-            history = np.zeros(model.config.d)
-            linked: dict[Mention, Entity | None] = {}
+            text, order = multi[ti], orders[ti]
+            golds = [_resolve_gold(m, kb) for m in text.mentions]
+            targets: list[tuple[CandidateSet, int] | None] = [None] * len(golds)
+            for i in order[1:]:
+                targets[i] = training_candidates(index, text.mentions[i].surface, golds[i], cfg.k, cfg.nil_verifier)
+            options = [None if t is None else t[0] for t in targets]
+            walked = walk_turns(model, text, order, options, lambda i, _: golds[i], cfg)
+
             turn_grads = np.zeros_like(model.flat)
             turn_losses: list[float] = []
-
-            for turn, mi in enumerate(order):
-                mention = text.mentions[mi]
-                gold_entity = _resolve_gold(mention, kb)
-                if turn == 0:
-                    if gold_entity is not None:
-                        history = encode_option_vector(model, gold_entity, build_query(text, mention))
-                        linked[mention] = gold_entity
-                    else:
-                        linked[mention] = None
+            for i in order:
+                if walked[i] is None:
                     continue
-
-                cands = generate_candidates(index, mention.surface, cfg.k, with_nil=cfg.nil_verifier)
-                if gold_entity is not None:
-                    cands = with_gold(cands, gold_entity, cfg.k)
-                    gold_index = cands.index_of(gold_entity.id)
-                elif cands.includes_nil:
-                    gold_index = cands.nil_index
-                else:
-                    linked[mention] = None
-                    continue
-
-                if cfg.no_query_update:
-                    query = build_query(text, mention)
-                else:
-                    query = update_query(text, mention, linked)
-                scores, tape = global_score_mention(model, cands, query, history)
+                (scores, tape), gold_index = walked[i], targets[i][1]
                 loss, dlogits = global_loss(scores, gold_index)
                 turn_losses.append(loss)
                 turn_grads += global_backward(model, tape, dlogits)[0]
-
                 n_scored += 1
                 n_correct += int(np.argmax(scores.probs)) == gold_index
-
-                if gold_entity is not None:
-                    j = gold_index
-                    history = (
-                        scores.fused[j].copy() if cfg.history_mode == "flow" else scores.raw[j].copy()
-                    )
-                    linked[mention] = gold_entity
-                else:
-                    linked[mention] = None
 
             if not turn_losses:
                 continue

@@ -92,10 +92,8 @@ def link_text(
             fused = rear_fusion(res.scores.probs, gscores.probs, cfg.beta)
             if res.overridden:
                 selected = NIL
-            elif len(fused):
-                selected = res.candidates.option_ids[int(np.argmax(fused))]
             else:
-                selected = NIL
+                selected = res.candidates.option_ids[int(np.argmax(fused))]
         decisions.append(
             LinkDecision(
                 mention=res.mention,
@@ -105,7 +103,7 @@ def link_text(
                 fused_probs=fused,
                 selected=selected,
                 rank=rank_of.get(i, i),
-                nil_prob=res.nil_prob,
+                nil_prob=res.scores.nil,
             )
         )
     return decisions

@@ -14,7 +14,6 @@ from mrclink.corpus import (
     assemble_option_sequence,
     assemble_query_sequence,
     build_query,
-    detokenize,
     load_corpus,
     save_corpus,
     split_tokens,
@@ -61,12 +60,6 @@ class TestTokenize:
         assert split_tokens("击败[MASK]在") == ["击", "败", "[MASK]", "在"]
         vocab = Vocabulary.build([])
         assert tokenize("[MASK]", vocab) == [MASK_ID]
-
-    def test_round_trip_for_in_vocabulary_ids(self):
-        vocab = Vocabulary.build(["alpha beta 李娜 [MASK]"])
-        rng = np.random.default_rng(0)
-        ids = [int(i) for i in rng.integers(0, len(vocab), size=50)]
-        assert tokenize(detokenize(ids, vocab), vocab) == ids
 
     def test_reserved_ids_fixed(self):
         vocab = Vocabulary.build(["w"])

@@ -15,7 +15,7 @@ from mrclink.encoder import (
     encode_batch,
     init_params,
     load_checkpoint,
-    param_names,
+    param_shapes,
     save_checkpoint,
     softmax,
     warmup_steps,
@@ -348,7 +348,7 @@ class TestInit:
     def test_same_seed_bitwise_equal(self):
         cfg = EncoderConfig(vocab_size=30, max_len=16, d=8, n_layers=2, n_heads=2, seed=9)
         a, b = init_params(cfg), init_params(cfg)
-        assert set(a) == set(b) == set(param_names(cfg))
+        assert set(a) == set(b) == set(param_shapes(cfg))
         assert all(a[k].tobytes() == b[k].tobytes() for k in a)
 
     def test_different_seeds_differ(self):

@@ -14,7 +14,6 @@ from mrclink.kb import NIL, CandidateSet, Entity, KnowledgeBase, build_index, ge
 from mrclink.local import (
     LocalModel,
     LocalScores,
-    NilJudgement,
     answer_loss,
     build_vocabulary,
     joint_local_loss,
@@ -154,7 +153,7 @@ class TestNilVerifier:
         model.nil["out_w"] = np.zeros_like(model.nil["out_w"])
         model.nil["out_b"] = np.zeros(1)
         [scores], _ = score_options(model, [(alpha_cands(kb), "[MASK] kicks ball game")])
-        assert scores.nil.prob == pytest.approx(0.5, abs=1e-12)
+        assert scores.nil == pytest.approx(0.5, abs=1e-12)
 
     def test_saturated_logit(self):
         kb, corpus = tiny_world()
@@ -162,19 +161,19 @@ class TestNilVerifier:
         model.nil["out_w"] = np.zeros_like(model.nil["out_w"])
         model.nil["out_b"] = np.array([20.0])
         [scores], _ = score_options(model, [(alpha_cands(kb), "[MASK] kicks ball game")])
-        assert scores.nil.prob > 0.9999
+        assert scores.nil > 0.9999
 
     def test_bce_values(self):
-        assert nil_loss(NilJudgement(0.5), True)[0] == pytest.approx(math.log(2), abs=1e-12)
-        assert nil_loss(NilJudgement(0.5), False)[0] == pytest.approx(math.log(2), abs=1e-12)
-        assert nil_loss(NilJudgement(1.0 - 1e-12), True)[0] == pytest.approx(0.0, abs=1e-9)
+        assert nil_loss(0.5, True)[0] == pytest.approx(math.log(2), abs=1e-12)
+        assert nil_loss(0.5, False)[0] == pytest.approx(math.log(2), abs=1e-12)
+        assert nil_loss(1.0 - 1e-12, True)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_bce_matches_independent_recomputation(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             p = float(rng.uniform(1e-6, 1 - 1e-6))
             y = bool(rng.integers(0, 2))
-            loss, grad = nil_loss(NilJudgement(p), y)
+            loss, grad = nil_loss(p, y)
             expect = -(int(y) * math.log(p) + (1 - int(y)) * math.log(1 - p))
             assert loss == pytest.approx(expect, rel=1e-12)
             assert grad == pytest.approx(p - int(y), abs=1e-12)
@@ -221,16 +220,16 @@ class TestJointLoss:
 
 class TestLocalPredict:
     def test_argmax_selects_nil_option(self):
-        scores = LocalScores(("e1", "e2", NIL), np.array([0.1, 0.2, 0.7]), np.zeros((3, 2)), NilJudgement(0.9))
+        scores = LocalScores(("e1", "e2", NIL), np.array([0.1, 0.2, 0.7]), np.zeros((3, 2)), 0.9)
         assert local_predict(scores) == (NIL, False)
 
     def test_stage_one_override(self):
-        scores = LocalScores(("e1", "e2", NIL), np.array([0.8, 0.1, 0.1]), np.zeros((3, 2)), NilJudgement(0.2))
+        scores = LocalScores(("e1", "e2", NIL), np.array([0.8, 0.1, 0.1]), np.zeros((3, 2)), 0.2)
         assert local_predict(scores, nil_threshold=0.5) == (NIL, True)
         assert local_predict(scores, nil_threshold=0.5, apply_override=False) == ("e1", False)
 
     def test_confident_judgement_keeps_argmax(self):
-        scores = LocalScores(("e1", "e2", NIL), np.array([0.8, 0.1, 0.1]), np.zeros((3, 2)), NilJudgement(0.9))
+        scores = LocalScores(("e1", "e2", NIL), np.array([0.8, 0.1, 0.1]), np.zeros((3, 2)), 0.9)
         assert local_predict(scores) == ("e1", False)
 
     def test_without_verifier_is_plain_argmax(self):
@@ -346,7 +345,7 @@ class TestQueryRowRidesAlong:
             seq = assemble_query_sequence(tokenize(query, model.vocab), model.config.max_len)
             pooled, _ = enc.encode_batch(model.enc_params, model.config, np.array([seq]))
             alone, _ = nil_stage1(model, pooled[0])
-            assert abs(scores.nil.prob - alone.prob) <= 1e-12
+            assert abs(scores.nil - alone) <= 1e-12
 
     def test_one_encoder_batch_per_text(self, monkeypatch):
         kb, _ = tiny_world()
@@ -357,7 +356,7 @@ class TestQueryRowRidesAlong:
         model = tiny_model(kb, [text])
         calls = counting(monkeypatch, "encode_batch")
         results = run_local_pass(model, text, build_index(kb), small_cfg())
-        assert len(results) == 3 and all(r.nil_prob is not None for r in results)
+        assert len(results) == 3 and all(r.scores.nil is not None for r in results)
         assert len(calls) == 1
 
     def test_one_encoder_backward_per_training_step(self, monkeypatch):
@@ -411,15 +410,15 @@ class TestPerTextBatch:
             cands = generate_candidates(index, r.mention.surface, k, with_nil=nil_verifier)
             assert r.candidates == cands
             if not cands.options:
-                assert (r.scores.probs.size, r.nil_prob, r.selected, r.overridden) == (0, None, NIL, False)
+                assert (r.scores.probs.size, r.scores.nil, r.selected, r.overridden) == (0, None, NIL, False)
                 continue
             [alone], _ = score_options(model, [(cands, build_query(text, r.mention))])
             assert r.scores.probs.tobytes() == alone.probs.tobytes()
             assert r.scores.pooled.tobytes() == alone.pooled.tobytes()
             if nil_verifier:
-                assert np.float64(r.nil_prob).tobytes() == np.float64(alone.nil.prob).tobytes()
+                assert np.float64(r.scores.nil).tobytes() == np.float64(alone.nil).tobytes()
             else:
-                assert r.nil_prob is None and alone.nil is None
+                assert r.scores.nil is None and alone.nil is None
             assert (r.selected, r.overridden) == local_predict(alone, cfg.nil_threshold, cfg.nil_override)
 
     def test_overflow_in_second_mention_raises_its_own_error(self):

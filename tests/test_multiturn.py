@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mrclink.config import EncoderSettings, RunConfig
-from mrclink.corpus import AnnotatedText, Mention
+from mrclink.corpus import AnnotatedText, Mention, update_query
 from mrclink.encoder import AdamState, EncoderConfig, softmax
 from mrclink.errors import InputFormatError
 from mrclink.kb import NIL, CandidateSet, Entity, KnowledgeBase, build_index, generate_candidates
@@ -264,7 +264,7 @@ def make_models(kb, corpus, d=8, seed=0, **cfg_kw):
     cfg = RunConfig(**kwargs)
     vocab = build_vocabulary(corpus, kb)
     config = EncoderConfig(vocab_size=len(vocab), max_len=32, d=d, n_layers=1, n_heads=2, seed=seed)
-    local = LocalModel.init(config, vocab)
+    local = LocalModel.init(config, vocab, nil_verifier=cfg.nil_verifier)
     glob = GlobalModel.from_local(local)
     return cfg, local, glob
 
@@ -399,7 +399,6 @@ class TestRunMultiTurn:
             assert sorted(mt.order) == list(range(len(text.mentions)))
             expected = rank_mentions([r.scores.probs for r in res]).order
             assert mt.order == expected
-            assert len(mt.history_trace) == len(text.mentions)
             # exactly the first processed mention lacks global scores
             first = mt.order[0]
             assert mt.global_scores[first] is None
@@ -422,11 +421,29 @@ class TestRunMultiTurn:
         text = corpus[0]
         res = run_local_pass(local, text, index, cfg)
         # force the first processed mention to be overridden to NIL
-        order = rank_mentions([r.scores.probs for r in res]).order
-        res[order[0]].overridden = True
-        res[order[0]].selected = NIL
+        first, second = rank_mentions([r.scores.probs for r in res]).order
+        res[first].overridden = True
+        res[first].selected = NIL
         mt = run_multi_turn(text, res, glob, cfg)
-        np.testing.assert_allclose(mt.history_trace[0], np.zeros(glob.config.d))
+        query = update_query(text, text.mentions[second], {text.mentions[first]: None})
+        alone, _ = global_score_mention(glob, res[second].candidates, query, np.zeros(glob.config.d))
+        assert mt.global_scores[second].probs.tobytes() == alone.probs.tobytes()
+
+    @pytest.mark.parametrize("no_rerank", [False, True])
+    def test_one_entity_set_goes_first_without_the_verifier(self, no_rerank):
+        # without the NIL option a one-entity set has probability 1 and spread
+        # 0; scored in a later turn it would be the text's only scored turn
+        kb, corpus = multi_world()
+        cfg, local, glob = make_models(kb, corpus, nil_verifier=False, no_rerank=no_rerank)
+        index = build_index(kb)
+        for text in corpus[:2]:
+            res = run_local_pass(local, text, index, cfg)
+            assert sorted(len(r.candidates.options) for r in res) == [1, 2]
+            mt = run_multi_turn(text, res, glob, cfg)
+            assert len(res[mt.order[0]].candidates.options) == 1
+            assert any(s is not None and len(s.probs) >= 2 for s in mt.global_scores)
+        _, logs = train_global(corpus, kb, local, cfg)
+        assert logs[0]["loss"] > 0
 
 
 class TestTrainGlobal:
