@@ -3,16 +3,17 @@ NIL verifier, the joint loss, and the local training loop. The model
 container, option encoder, scoring head and checkpoint codec defined here are
 shared with the global pass.
 
-Each text is one padded encoder batch: for each mention with candidates, a
-``[CLS] description [SEP] query [SEP] option [SEP]`` row per option, then the
+``encode_sets`` is the one place where encoder rows are built, padded and
+batched, for the local and the global pass alike. A candidate set gets a
+``[CLS] description [SEP] query [SEP] option [SEP]`` row per option, plus the
 ``[CLS] query [SEP]`` row that stage 1 of the verifier reads when the verifier
-is on. A mention whose rows pad to another width than the others' gets a
-batch of its own, so every mention is padded as if scored alone. Each
-mention's head softmaxes over its option rows and its verifier MLP reads its
-query row. Training scores one mention per batch and sends both gradients
-back through one encoder backward. Rows are encoded independently; the
-softmax couples a mention's options only at the end. Training sums gradients
-in a fixed order so a fixed seed reproduces bitwise-identical parameters.
+is on. The sets of one text share an encoder batch when their rows pad to the
+same width, so every set is padded as if scored alone. Each mention's head
+softmaxes over its option rows and its verifier MLP reads its query row.
+Training scores one mention per batch and sends both gradients back through
+one encoder backward. Rows are encoded independently; the softmax couples a
+mention's options only at the end. Training sums gradients in a fixed order so
+a fixed seed reproduces bitwise-identical parameters.
 """
 from __future__ import annotations
 
@@ -190,29 +191,49 @@ class LocalModel(Model):
         )
 
 
-def encode_rows(model: Model, rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, EncoderTape]:
-    """Pooled vectors of token-id rows, encoded as one batch padded to its longest row."""
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    ids = np.full((len(rows), int(lengths.max())), PAD_ID, dtype=np.int64)
-    ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(chain.from_iterable(rows), np.int64)
-    return enc.encode_batch(model.enc_params, model.config, ids, lengths)
+def encode_sets(
+    model: Model, sets: Sequence[tuple[Sequence[Entity], str]], query_row: bool = False
+) -> list[tuple[np.ndarray, EncoderTape]]:
+    """Pooled rows of each (options, query) set and the tape of the encoder
+    batch that holds them; every encoder call of linking and training is made
+    here.
 
-
-def option_rows(model: Model, options: Sequence[Entity], query: Sequence[int]) -> list[tuple[int, ...]]:
-    """One ``[CLS] description [SEP] query [SEP] option [SEP]`` row per option,
-    for the token ids of a query."""
-    if not options:
-        raise ValueError("candidate set must be non-empty")
+    A set's rows are one ``[CLS] description [SEP] query [SEP] option [SEP]``
+    row per option, then its ``[CLS] query [SEP]`` row when ``query_row`` is
+    set; its query is tokenized once. Sets whose longest rows are equally
+    long share one padded encoder batch. A row's attention sums run over the
+    batch width, and their rounding depends on it, so each set is padded
+    exactly as it would be alone and gets bitwise the rows it gets alone.
+    Every row is assembled, in set order, before any is encoded, which is
+    also the order in which a sequence overflowing ``max_len`` is found.
+    """
     vocab, max_len = model.vocab, model.config.max_len
-    return [
-        assemble_option_sequence(vocab.kb_ids(e.description), query, vocab.kb_ids(e.canonical_name), max_len)
-        for e in options
-    ]
-
-
-def encode_options(model: Model, options: Sequence[Entity], query: str) -> tuple[np.ndarray, EncoderTape]:
-    """Pooled vectors of the option rows of one query, encoded as one padded batch."""
-    return encode_rows(model, option_rows(model, options, tokenize(query, model.vocab)))
+    rows_of: list[list[tuple[int, ...]]] = []
+    groups: dict[int, list[int]] = {}  # padded width -> its sets, in set order
+    for options, query in sets:
+        if not options:
+            raise ValueError("candidate set must be non-empty")
+        query_ids = tokenize(query, vocab)
+        rows = [
+            assemble_option_sequence(vocab.kb_ids(e.description), query_ids, vocab.kb_ids(e.canonical_name), max_len)
+            for e in options
+        ]
+        if query_row:
+            rows.append(assemble_query_sequence(query_ids, max_len))
+        groups.setdefault(max(map(len, rows)), []).append(len(rows_of))
+        rows_of.append(rows)
+    encoded: dict[int, tuple[np.ndarray, EncoderTape]] = {}
+    for width, members in groups.items():
+        batch = [row for i in members for row in rows_of[i]]
+        lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
+        ids = np.full((len(batch), width), PAD_ID, dtype=np.int64)
+        ids[np.arange(width) < lengths[:, None]] = np.fromiter(chain.from_iterable(batch), np.int64)
+        pooled, tape = enc.encode_batch(model.enc_params, model.config, ids, lengths)
+        at = 0
+        for i in members:
+            encoded[i] = (pooled[at : at + len(rows_of[i])], tape)
+            at += len(rows_of[i])
+    return [encoded[i] for i in range(len(sets))]
 
 
 def head_softmax(head: Mapping[str, np.ndarray], vectors: np.ndarray) -> np.ndarray:
@@ -241,45 +262,24 @@ def score_options(
     """Score each (candidate set, query) pair of one text: one ``LocalScores``
     and one ``ScoreTape`` per pair.
 
-    A pair's rows are its option rows, then its ``[CLS] query [SEP]`` row
-    when the verifier is on; its head softmaxes over its option rows and its
-    verifier judges linkability from its query row. Pairs whose longest rows
-    are equally long share one padded encoder batch. A row's attention sums
-    run over the batch width, and their rounding depends on it, so each pair
-    is padded exactly as it would be alone and gets bitwise the scores it
-    gets alone. Rows are assembled in pair order, which is also the order in
-    which a sequence overflowing ``max_len`` is found.
+    The pairs are encoded by one ``encode_sets`` call, with the query row when
+    the verifier is on, so each pair gets bitwise the scores it gets alone.
+    A pair's head softmaxes over its option rows and its verifier judges
+    linkability from its query row.
     """
     if not pairs:
         raise ValueError("no candidate set to score")
-    rows_of: list[list[tuple[int, ...]]] = []
-    for candidates, query in pairs:
-        query_ids = tokenize(query, model.vocab)
-        rows = option_rows(model, candidates.options, query_ids)
+    encoded = encode_sets(model, [(c.options, query) for c, query in pairs], query_row=model.nil_verifier)
+    scores, tapes = [], []
+    for (candidates, _), (rows, enc_tape) in zip(pairs, encoded):
+        n = len(candidates.options)
+        nil = hidden = None
         if model.nil_verifier:
-            rows.append(assemble_query_sequence(query_ids, model.config.max_len))
-        rows_of.append(rows)
-    widths = [max(map(len, rows)) for rows in rows_of]
-    scored: dict[int, tuple[LocalScores, ScoreTape]] = {}
-    for width in dict.fromkeys(widths):
-        members = [i for i, w in enumerate(widths) if w == width]
-        pooled, enc_tape = encode_rows(model, [row for i in members for row in rows_of[i]])
-        at = 0
-        for i in members:
-            candidates = pairs[i][0]
-            n = len(candidates.options)
-            nil = hidden = None
-            if model.nil_verifier:
-                nil, hidden = nil_stage1(model, pooled[at + n])
-            rows = pooled[at : at + len(rows_of[i])]
-            probs = head_softmax(model.head, rows[:n])
-            scored[i] = (
-                LocalScores(candidates.option_ids, probs, rows[:n], nil),
-                ScoreTape(enc_tape=enc_tape, pooled=rows, nil_hidden=hidden),
-            )
-            at += len(rows)
-    scores, tapes = zip(*(scored[i] for i in range(len(pairs))))
-    return list(scores), list(tapes)
+            nil, hidden = nil_stage1(model, rows[n])
+        probs = head_softmax(model.head, rows[:n])
+        scores.append(LocalScores(candidates.option_ids, probs, rows[:n], nil))
+        tapes.append(ScoreTape(enc_tape=enc_tape, pooled=rows, nil_hidden=hidden))
+    return scores, tapes
 
 
 def answer_loss(scores: LocalScores, gold_index: int) -> tuple[float, np.ndarray]:

@@ -24,7 +24,7 @@ from .local import (
     Model,
     _resolve_gold,
     check_vocab,
-    encode_options,
+    encode_sets,
     head_backward,
     head_softmax,
     init_head,
@@ -51,20 +51,19 @@ def rank_mentions(prob_vectors: Sequence[np.ndarray]) -> AmbiguityRank:
     return AmbiguityRank(order=order, gaps=gaps)
 
 
-def processing_order(local_results: Sequence[MentionLocalResult], cfg: RunConfig) -> AmbiguityRank:
+def processing_order(local_results: Sequence[MentionLocalResult], cfg: RunConfig) -> tuple[int, ...]:
     """The order in which the turns of linking and training visit a text's
-    mentions: ``rank_mentions`` order, or text order with all-zero gaps under
-    ``no_rerank``. Either way a mention whose set holds exactly one entity and
-    no NIL option moves to the front, ties keeping that order: its link is
-    certain, though its spread is 0, and scoring it in a later turn would
-    give probability 1 and no gradient."""
-    n = len(local_results)
+    mentions: ``rank_mentions`` order, or text order under ``no_rerank``.
+    Either way a mention whose set holds exactly one entity and no NIL option
+    moves to the front, ties keeping that order: its link is certain, though
+    its spread is 0, and scoring it in a later turn would give probability 1
+    and no gradient."""
     if cfg.no_rerank:
-        ranked = AmbiguityRank(order=tuple(range(n)), gaps=(0.0,) * n)
+        order = range(len(local_results))
     else:
-        ranked = rank_mentions([r.scores.probs for r in local_results])
+        order = rank_mentions([r.scores.probs for r in local_results]).order
     certain = [len(r.candidates.options) == 1 and not r.candidates.includes_nil for r in local_results]
-    return replace(ranked, order=tuple(sorted(ranked.order, key=lambda i: not certain[i])))
+    return tuple(sorted(order, key=lambda i: not certain[i]))
 
 
 # ----------------------------- gated history fusion -----------------------------
@@ -200,13 +199,12 @@ class GlobalModel(Model):
 
     KIND = "global"
     GROUPS = {"enc": "enc_params", "gate": "gate", "head": "head"}
-    SETTINGS = ("gate_mode", "history_mode", "nil_verifier")
+    SETTINGS = ("gate_mode", "history_mode")
 
     gate: dict[str, np.ndarray]
     head: dict[str, np.ndarray]
     gate_mode: str = "gated"
     history_mode: str = "flow"
-    nil_verifier: bool = True
 
     @classmethod
     def init(
@@ -215,7 +213,6 @@ class GlobalModel(Model):
         vocab: Vocabulary,
         gate_mode: str = "gated",
         history_mode: str = "flow",
-        nil_verifier: bool = True,
         enc_params: dict[str, np.ndarray] | None = None,
     ) -> "GlobalModel":
         """Fresh gate and head; a fresh encoder too unless ``enc_params`` is given."""
@@ -230,7 +227,6 @@ class GlobalModel(Model):
             head=init_head(np.random.default_rng(config.seed + 2_000_003), config.d),
             gate_mode=gate_mode,
             history_mode=history_mode,
-            nil_verifier=nil_verifier,
         )
 
     @classmethod
@@ -252,7 +248,7 @@ class GlobalModel(Model):
             enc_params["pos_emb"] = np.vstack([enc_params["pos_emb"], extra])
         elif max_len < local.config.max_len:
             enc_params["pos_emb"] = enc_params["pos_emb"][:max_len]
-        return cls.init(config, local.vocab, gate_mode, history_mode, local.nil_verifier, enc_params)
+        return cls.init(config, local.vocab, gate_mode, history_mode, enc_params)
 
 
 @dataclass
@@ -273,7 +269,8 @@ class GlobalTape:
 
 def encode_option_vector(model: GlobalModel, entity: Entity, query: str) -> np.ndarray:
     """Pooled representation of one option sequence under the global encoder."""
-    return encode_options(model, (entity,), query)[0][0]
+    [(pooled, _)] = encode_sets(model, [((entity,), query)])
+    return pooled[0]
 
 
 def global_score_mention(
@@ -283,7 +280,7 @@ def global_score_mention(
     history: np.ndarray,
 ) -> tuple[GlobalScores, GlobalTape]:
     """Encode options against the updated query, fuse with history, and softmax."""
-    raw, tape = encode_options(model, candidates.options, query)
+    [(raw, tape)] = encode_sets(model, [(candidates.options, query)])
     fusion = gate_fuse_batch(raw, history, model.gate, model.gate_mode)
     probs = head_softmax(model.head, fusion.fused)
     scores = GlobalScores(option_ids=candidates.option_ids, probs=probs, raw=raw, fused=fusion.fused)
@@ -363,13 +360,11 @@ def walk_turns(
 
 @dataclass
 class MultiTurnResult:
-    """Processing order and gaps, and per-mention global scores (None where
-    a mention was not scored) and turn selections."""
+    """Processing order and per-mention global scores (None where a mention
+    was not scored)."""
 
     order: tuple[int, ...]
-    gaps: tuple[float, ...]
     global_scores: list[GlobalScores | None]
-    turn_selected: list[str]
 
 
 def run_multi_turn(
@@ -384,8 +379,7 @@ def run_multi_turn(
     of its global probabilities, or NIL when the verifier overrode the
     mention.
     """
-    ranked = processing_order(local_results, cfg)
-    turn_selected = [NIL] * len(local_results)
+    order = processing_order(local_results, cfg)
 
     def pick(i: int, scores: GlobalScores | None) -> Entity | None:
         res = local_results[i]
@@ -395,16 +389,10 @@ def run_multi_turn(
             selected = NIL
         else:
             selected = scores.option_ids[int(np.argmax(scores.probs))]
-        turn_selected[i] = selected
         return None if selected == NIL else res.candidates.options[res.candidates.index_of(selected)]
 
-    walked = walk_turns(model, text, ranked.order, [r.candidates for r in local_results], pick, cfg)
-    return MultiTurnResult(
-        order=ranked.order,
-        gaps=ranked.gaps,
-        global_scores=[None if w is None else w[0] for w in walked],
-        turn_selected=turn_selected,
-    )
+    walked = walk_turns(model, text, order, [r.candidates for r in local_results], pick, cfg)
+    return MultiTurnResult(order=order, global_scores=[None if w is None else w[0] for w in walked])
 
 
 # ----------------------------- teacher-forced training -----------------------------
@@ -419,10 +407,12 @@ def train_global(
 ) -> tuple[GlobalModel, list[dict]]:
     """Train the global pass with gold entities driving query updates and history.
 
-    The local model stays frozen: it only supplies the processing order. Each
-    text is walked with the gold entity as every turn's pick, then each
-    scored turn is backpropagated in turn order; the mean of the per-turn
-    losses makes one Adam step.
+    The local model stays frozen. It supplies the processing order, and its
+    ``nil_verifier`` decides whether the training sets carry the NIL option,
+    as at link time; the config's ``nil_verifier`` is not read. Each text is
+    walked with the gold entity as every turn's pick, then each scored turn
+    is backpropagated in turn order; the mean of the per-turn losses makes
+    one Adam step.
     """
     index = build_index(kb)
     model = GlobalModel.from_local(
@@ -432,8 +422,9 @@ def train_global(
         history_mode=cfg.history_mode,
     )
 
+    with_nil = local_model.nil_verifier
     multi = [t for t in corpus if len(t.mentions) >= 2]
-    orders = [processing_order(run_local_pass(local_model, text, index, cfg), cfg).order for text in multi]
+    orders = [processing_order(run_local_pass(local_model, text, index, cfg), cfg) for text in multi]
 
     total_steps = cfg.epochs_global * len(multi)
     warmup_steps = enc.warmup_steps(cfg.warmup, total_steps)
@@ -450,7 +441,7 @@ def train_global(
             golds = [_resolve_gold(m, kb) for m in text.mentions]
             targets: list[tuple[CandidateSet, int] | None] = [None] * len(golds)
             for i in order[1:]:
-                targets[i] = training_candidates(index, text.mentions[i].surface, golds[i], cfg.k, cfg.nil_verifier)
+                targets[i] = training_candidates(index, text.mentions[i].surface, golds[i], cfg.k, with_nil)
             options = [None if t is None else t[0] for t in targets]
             walked = walk_turns(model, text, order, options, lambda i, _: golds[i], cfg)
 

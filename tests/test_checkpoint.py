@@ -80,7 +80,7 @@ def _gap_in_vocabulary(header, tensors):
 
 
 def _bad_setting(header, tensors):
-    header["nil_verifier"] = "yes"
+    header["nil_verifier" if header["kind"] == "local" else "gate_mode"] = 1
 
 
 def _huge_width(header, tensors):
@@ -128,6 +128,19 @@ def test_wrong_kind_rejected(kind, tmp_path):
     other = next(cls for name, cls in KINDS.items() if name != kind)
     with pytest.raises(ModelConfigError):
         load_model(str(path), other)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_global_header_with_a_nil_verifier_key_loads(value, tmp_path):
+    """Global checkpoints once stored the local model's ``nil_verifier``; the key is ignored."""
+    path, header, tensors = saved("global", tmp_path)
+    header["nil_verifier"] = value
+    enc.save_checkpoint(str(path), header, tensors)
+    back = load_model(str(path), GlobalModel)
+    assert not hasattr(back, "nil_verifier")
+    assert list(back.parameters()) == list(tensors)
+    for name, t in back.parameters().items():
+        assert t.tobytes() == tensors[name].tobytes()
 
 
 @pytest.mark.parametrize("mode", [("gate_mode", "gru_like"), ("history_mode", "other")])

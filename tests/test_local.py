@@ -1,6 +1,7 @@
 """Option scoring, NIL verifier, joint loss, and local training tests."""
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mrclink.local import (
     LocalScores,
     answer_loss,
     build_vocabulary,
+    encode_sets,
     joint_local_loss,
     load_model,
     local_backward,
@@ -31,6 +33,7 @@ from mrclink.local import (
 from mrclink import encoder as enc
 from mrclink.corpus import AnnotatedText, Mention, assemble_query_sequence, build_query, tokenize
 from mrclink.encoder import softmax
+from mrclink.multiturn import GlobalModel
 
 
 def tiny_world():
@@ -439,6 +442,63 @@ class TestPerTextBatch:
         with pytest.raises(SequenceOverflowError) as batched:
             run_local_pass(model, text, index, cfg)
         assert str(batched.value) == str(alone.value)
+
+
+# descriptions of 1-8 tokens and names of 1-3, so that sets pad to many widths
+SET_ENTITIES = tuple(
+    Entity(f"w{n}", " ".join(["alpha", "sport", "music"][: 1 + n % 3]), " ".join(["ball"] * n), (f"w{n}",), n)
+    for n in range(1, 9)
+)
+
+
+@pytest.fixture(scope="module")
+def set_models():
+    """A local model of max_len 24 and a global model of max_len 40 on top of it."""
+    kb, corpus = tiny_world()
+    kb = KnowledgeBase(tuple(kb) + SET_ENTITIES)
+    local = tiny_model(kb, corpus, seed=7, max_len=24)
+    return local, GlobalModel.from_local(local, max_len=40)
+
+
+@st.composite
+def option_sets(draw):
+    """An (options, query) set: 1-5 options and a query of 1-31 tokens."""
+    options = tuple(draw(st.lists(st.sampled_from(SET_ENTITIES), min_size=1, max_size=5)))
+    query = " ".join(["[MASK]", *draw(st.lists(st.sampled_from(FILLER), max_size=30))])
+    return options, query
+
+
+class TestEncodeSets:
+    """``encode_sets`` encodes sets of equal padded width in one batch and gives
+    each set bitwise the pooled rows it gets alone. That rests on the BLAS
+    library computing a row alike in batches of any height."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sets=st.lists(option_sets(), min_size=1, max_size=6), use_global=st.booleans(), query_row=st.booleans())
+    def test_sets_batched_match_sets_alone(self, set_models, sets, use_global, query_row):
+        model = set_models[use_global]
+        with mock.patch.object(enc, "encode_batch", wraps=enc.encode_batch) as spy:
+            alone, widths, errors = [], set(), []
+            for one in sets:
+                try:
+                    [(rows, _)] = encode_sets(model, [one], query_row)
+                except SequenceOverflowError as exc:
+                    errors.append(str(exc))
+                    continue
+                alone.append(rows)
+                widths.add(spy.call_args.args[2].shape[1])
+            spy.reset_mock()
+            if errors:
+                with pytest.raises(SequenceOverflowError) as batched:
+                    encode_sets(model, sets, query_row)
+                assert str(batched.value) == errors[0]
+                assert spy.call_count == 0
+                return
+            encoded = encode_sets(model, sets, query_row)
+        assert spy.call_count == len(widths)
+        for (options, _), (rows, _), single in zip(sets, encoded, alone):
+            assert rows.shape == (len(options) + query_row, model.config.d)
+            assert rows.tobytes() == single.tobytes()
 
 
 def small_cfg(seed=0, **kw):

@@ -26,6 +26,7 @@ from mrclink.multiturn import (
     train_global,
 )
 from mrclink.local import load_model, save_model
+from mrclink.pipeline import link_text
 
 
 def zero_gate(d):
@@ -387,7 +388,9 @@ class TestRunMultiTurn:
         res = run_local_pass(local, text, index, cfg)
         mt = run_multi_turn(text, res, glob, cfg)
         assert mt.global_scores == [None]
-        assert mt.turn_selected[0] == res[0].selected
+        [decision] = link_text(text, index, local, glob, cfg)
+        assert decision.selected == res[0].selected
+        assert decision.global_probs is None
 
     def test_every_mention_visited_once_in_rank_order(self):
         kb, corpus = multi_world()
@@ -481,6 +484,16 @@ class TestTrainGlobal:
             for k in m_flow.parameters()
         )
         assert diff
+
+    def test_nil_option_follows_the_local_model_not_the_config(self):
+        # linking builds candidate sets from the local model's flag, so
+        # training must too; the config's nil_verifier is not read
+        kb, corpus = multi_world()
+        cfg, local, _ = make_models(kb, corpus, epochs_global=2)
+        assert local.nil_verifier
+        default, _ = train_global(corpus, kb, local, cfg)
+        told_off, _ = train_global(corpus, kb, local, replace(cfg, nil_verifier=False))
+        assert told_off.flat.tobytes() == default.flat.tobytes()
 
     def test_checkpoint_round_trip(self, tmp_path):
         kb, corpus = multi_world()
