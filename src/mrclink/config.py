@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Mapping
 
+from .encoder import EncoderConfig
 from .errors import InputFormatError
 
 GATE_MODES = ("gated", "concat")
@@ -18,9 +20,6 @@ class EncoderSettings:
     d: int = 64
     n_layers: int = 1
     n_heads: int = 2
-
-    def to_dict(self) -> dict:
-        return {"d": self.d, "n_layers": self.n_layers, "n_heads": self.n_heads}
 
 
 @dataclass
@@ -48,6 +47,24 @@ class RunConfig:
     history_mode: str = "flow"
 
     def __post_init__(self) -> None:
+        # every value, the encoder's too, must have the type of its default:
+        # an int passes for a float, a bool never passes for a number, and
+        # a None default takes None or a number; a float must be finite
+        for obj in (self, self.encoder):
+            for f in fields(obj):
+                default = f.default_factory() if f.default is MISSING else f.default
+                value = getattr(obj, f.name)
+                if default is None and value is None:
+                    continue
+                want = (int, float) if default is None or type(default) is float else type(default)
+                if (
+                    isinstance(value, bool) != isinstance(default, bool)
+                    or not isinstance(value, want)
+                    or (isinstance(value, float) and not math.isfinite(value))
+                ):
+                    kind = want.__name__ if want != (int, float) else "a finite number"
+                    kind = "null or " + kind if default is None else kind
+                    raise InputFormatError(f"config field {f.name!r} must be {kind}, got {value!r}")
         if self.k < 1:
             raise InputFormatError("k must be >= 1")
         if self.alpha1 < 0 or self.alpha2 < 0 or self.alpha1 + self.alpha2 <= 0:
@@ -58,14 +75,17 @@ class RunConfig:
             raise InputFormatError(f"gate_mode must be one of {GATE_MODES}")
         if self.history_mode not in HISTORY_MODES:
             raise InputFormatError(f"history_mode must be one of {HISTORY_MODES}")
+        if min(self.max_len_local, self.max_len_global) < 8:
+            raise InputFormatError("max_len_local and max_len_global must be >= 8")
+        if min(self.seed, self.epochs_local, self.epochs_global) < 0:
+            raise InputFormatError("seed, epochs_local and epochs_global must be >= 0")
+        try:
+            EncoderConfig(vocab_size=1, max_len=self.max_len_local, seed=self.seed, **asdict(self.encoder))
+        except ValueError as exc:
+            raise InputFormatError(f"bad encoder config: {exc}") from exc
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            key = "K" if f.name == "k" else f.name
-            out[key] = v.to_dict() if isinstance(v, EncoderSettings) else v
-        return out
+        return {("K" if k == "k" else k): v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
@@ -74,31 +94,27 @@ class RunConfig:
             if "k" in kwargs:
                 raise InputFormatError("config may not set both 'K' and 'k'")
             kwargs["k"] = kwargs.pop("K")
-        known = {f.name for f in fields(cls)}
-        unknown = set(kwargs) - known
+        unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
             raise InputFormatError(f"unknown config keys: {sorted(unknown)}")
-        if "encoder" in kwargs and isinstance(kwargs["encoder"], Mapping):
-            enc = kwargs["encoder"]
-            bad = set(enc) - {"d", "n_layers", "n_heads"}
+        if isinstance(kwargs.get("encoder"), Mapping):
+            bad = set(kwargs["encoder"]) - {f.name for f in fields(EncoderSettings)}
             if bad:
                 raise InputFormatError(f"unknown encoder config keys: {sorted(bad)}")
-            kwargs["encoder"] = EncoderSettings(**enc)
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise InputFormatError(f"bad config: {exc}") from exc
+            kwargs["encoder"] = EncoderSettings(**kwargs["encoder"])
+        return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
+        """Read a JSON config object; any error names ``path``."""
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InputFormatError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+            if not isinstance(data, dict):
+                raise InputFormatError("config must be a JSON object")
+            return cls.from_dict(data)
+        except ValueError as exc:  # a UTF-8 or JSON decode error, or a bad value
+            raise InputFormatError(f"{path}: {exc}") from exc
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -9,12 +9,12 @@ write wins, and each dict read or write is atomic under the interpreter lock.
 """
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputFormatError, SequenceOverflowError
+from .jsonl import read_jsonl, write_jsonl
 from .kb import NIL, Entity
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
@@ -192,48 +192,36 @@ def assemble_query_sequence(query: Sequence[int], max_len: int) -> tuple[int, ..
     return (CLS_ID, *query, SEP_ID)
 
 
+def _text(rec: dict) -> AnnotatedText:
+    mentions = tuple(
+        Mention(
+            start=int(m["start"]),
+            end=int(m["end"]),
+            surface=str(m["surface"]),
+            gold=None if m.get("gold") is None else str(m["gold"]),
+        )
+        for m in rec.get("mentions", [])
+    )
+    return AnnotatedText(text=str(rec["text"]), mentions=mentions)
+
+
 def load_corpus(path: str) -> list[AnnotatedText]:
     """Read a line-delimited JSON corpus (text + mention spans, optional gold)."""
-    texts = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                mentions = tuple(
-                    Mention(
-                        start=int(m["start"]),
-                        end=int(m["end"]),
-                        surface=str(m["surface"]),
-                        gold=None if m.get("gold") is None else str(m["gold"]),
-                    )
-                    for m in rec.get("mentions", [])
-                )
-                texts.append(AnnotatedText(text=str(rec["text"]), mentions=mentions))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, InputFormatError) as exc:
-                raise InputFormatError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
-    return texts
+    return read_jsonl(path, "corpus", _text)
 
 
 def save_corpus(texts: Sequence[AnnotatedText], path: str, kinds: Sequence[str] | None = None) -> None:
     """Write a corpus file; ``kinds`` adds an informational per-text tag."""
     if kinds is not None and len(kinds) != len(texts):
         raise ValueError("kinds must align with texts")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, t in enumerate(texts):
-            rec: dict = {
-                "text": t.text,
-                "mentions": [
-                    {"start": m.start, "end": m.end, "surface": m.surface}
-                    | ({"gold": m.gold} if m.gold is not None else {})
-                    for m in t.mentions
-                ],
-            }
-            if kinds is not None:
-                rec["kind"] = kinds[i]
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_jsonl(
+        path,
+        (
+            {"text": t.text, "mentions": [{k: v for k, v in asdict(m).items() if v is not None} for m in t.mentions]}
+            | ({"kind": kinds[i]} if kinds is not None else {})
+            for i, t in enumerate(texts)
+        ),
+    )
 
 
 __all__ = [

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -58,18 +58,11 @@ class EncoderConfig:
         return 4 * self.d
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "max_len": self.max_len,
-            "d": self.d,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "EncoderConfig":
-        return cls(**{k: int(d[k]) for k in ("vocab_size", "max_len", "d", "n_layers", "n_heads", "seed")})
+        return cls(**{f.name: int(d[f.name]) for f in fields(cls)})
 
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:

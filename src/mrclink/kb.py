@@ -5,12 +5,12 @@ parallel readers; construction itself is single-threaded.
 """
 from __future__ import annotations
 
-import json
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .errors import InputFormatError
+from .jsonl import read_jsonl, write_jsonl
 
 NIL = "NIL"
 NIL_DESCRIPTION = "This is a NIL option"
@@ -180,38 +180,24 @@ def prior_baseline(index: AliasIndex, mention_surface: str) -> tuple[str, float]
     return best.id, best.popularity / total
 
 
+def _entity(rec: dict) -> Entity:
+    aliases = rec.get("aliases", [])
+    if not isinstance(aliases, list):
+        raise TypeError(f"aliases must be a list, got {type(aliases).__name__}")
+    return Entity(
+        id=str(rec["id"]),
+        canonical_name=str(rec["name"]),
+        description=str(rec.get("description", "")),
+        aliases=tuple(str(a) for a in aliases),
+        popularity=int(rec.get("popularity", 0)),
+    )
+
+
 def load_kb(path: str) -> KnowledgeBase:
     """Read a line-delimited JSON KB file (fields id, name, description, aliases, popularity)."""
-    entities = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                entities.append(
-                    Entity(
-                        id=str(rec["id"]),
-                        canonical_name=str(rec["name"]),
-                        description=str(rec.get("description", "")),
-                        aliases=tuple(str(a) for a in rec.get("aliases", [])),
-                        popularity=int(rec.get("popularity", 0)),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise InputFormatError(f"{path}:{lineno}: bad KB record: {exc}") from exc
-    return KnowledgeBase(entities)
+    return KnowledgeBase(read_jsonl(path, "KB", _entity))
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ent in kb:
-            rec = {
-                "id": ent.id,
-                "name": ent.canonical_name,
-                "description": ent.description,
-                "aliases": list(ent.aliases),
-                "popularity": ent.popularity,
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    """Write a KB file: every entity's fields, ``canonical_name`` under the key ``name``."""
+    write_jsonl(path, ({("name" if k == "canonical_name" else k): v for k, v in asdict(e).items()} for e in kb))

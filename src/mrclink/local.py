@@ -17,8 +17,7 @@ a fixed seed reproduces bitwise-identical parameters.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import ClassVar, Iterable, Mapping, Sequence, TypeVar
 
@@ -38,6 +37,7 @@ from .corpus import (
 )
 from .encoder import EncoderConfig, EncoderTape
 from .errors import ModelConfigError
+from .jsonl import write_jsonl
 from .kb import (
     NIL,
     NIL_DESCRIPTION,
@@ -419,15 +419,6 @@ def local_backward(
     return grads
 
 
-def write_log(records: Sequence[dict], path: str | None) -> None:
-    """Per-epoch records as JSON lines; nothing when ``path`` is None."""
-    if path is None:
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
-
-
 def _resolve_gold(m: Mention, kb: KnowledgeBase) -> Entity | None:
     if m.gold is None:
         raise ModelConfigError(f"mention {m.surface!r} has no gold label")
@@ -469,14 +460,7 @@ def train_local(
     """
     index = build_index(kb)
     vocab = build_vocabulary(corpus, kb)
-    econf = EncoderConfig(
-        vocab_size=len(vocab),
-        max_len=cfg.max_len_local,
-        d=cfg.encoder.d,
-        n_layers=cfg.encoder.n_layers,
-        n_heads=cfg.encoder.n_heads,
-        seed=cfg.seed,
-    )
+    econf = EncoderConfig(vocab_size=len(vocab), max_len=cfg.max_len_local, seed=cfg.seed, **asdict(cfg.encoder))
     model = LocalModel.init(econf, vocab, nil_verifier=cfg.nil_verifier)
 
     units: list[tuple[AnnotatedText, Mention]] = [
@@ -532,7 +516,8 @@ def train_local(
         if cfg.stop_accuracy is not None and accuracy >= cfg.stop_accuracy:
             break
 
-    write_log(logs, log_path)
+    if log_path is not None:
+        write_jsonl(log_path, logs)
     return model, logs
 
 

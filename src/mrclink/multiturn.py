@@ -12,10 +12,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import encoder as enc
-from .config import GATE_MODES, HISTORY_MODES, RunConfig
+from .config import GATE_MODES, RunConfig
 from .corpus import AnnotatedText, Mention, Vocabulary, build_query, update_query
 from .encoder import EncoderConfig, EncoderTape
 from .errors import ModelConfigError
+from .jsonl import write_jsonl
 from .kb import NIL, CandidateSet, Entity, KnowledgeBase, build_index
 from .kb import generate_candidates  # noqa: F401  (the perfbench tracer self-test checks this binding)
 from .local import (
@@ -30,7 +31,6 @@ from .local import (
     init_head,
     run_local_pass,
     training_candidates,
-    write_log,
 )
 
 
@@ -199,12 +199,11 @@ class GlobalModel(Model):
 
     KIND = "global"
     GROUPS = {"enc": "enc_params", "gate": "gate", "head": "head"}
-    SETTINGS = ("gate_mode", "history_mode")
+    SETTINGS = ("gate_mode",)
 
     gate: dict[str, np.ndarray]
     head: dict[str, np.ndarray]
     gate_mode: str = "gated"
-    history_mode: str = "flow"
 
     @classmethod
     def init(
@@ -212,13 +211,12 @@ class GlobalModel(Model):
         config: EncoderConfig,
         vocab: Vocabulary,
         gate_mode: str = "gated",
-        history_mode: str = "flow",
         enc_params: dict[str, np.ndarray] | None = None,
     ) -> "GlobalModel":
         """Fresh gate and head; a fresh encoder too unless ``enc_params`` is given."""
         check_vocab(config, vocab)
-        if gate_mode not in GATE_MODES or history_mode not in HISTORY_MODES:
-            raise ModelConfigError(f"unknown gate mode {gate_mode!r} or history mode {history_mode!r}")
+        if gate_mode not in GATE_MODES:
+            raise ModelConfigError(f"unknown gate mode {gate_mode!r}")
         return cls(
             config=config,
             vocab=vocab,
@@ -226,17 +224,10 @@ class GlobalModel(Model):
             gate=init_gate_params(config.d, config.seed + 2_000_033),
             head=init_head(np.random.default_rng(config.seed + 2_000_003), config.d),
             gate_mode=gate_mode,
-            history_mode=history_mode,
         )
 
     @classmethod
-    def from_local(
-        cls,
-        local: LocalModel,
-        max_len: int | None = None,
-        gate_mode: str = "gated",
-        history_mode: str = "flow",
-    ) -> "GlobalModel":
+    def from_local(cls, local: LocalModel, max_len: int | None = None, gate_mode: str = "gated") -> "GlobalModel":
         """Start from the trained local encoder; the gate and head are fresh."""
         max_len = local.config.max_len if max_len is None else max_len
         config = replace(local.config, max_len=max_len)
@@ -248,7 +239,7 @@ class GlobalModel(Model):
             enc_params["pos_emb"] = np.vstack([enc_params["pos_emb"], extra])
         elif max_len < local.config.max_len:
             enc_params["pos_emb"] = enc_params["pos_emb"][:max_len]
-        return cls.init(config, local.vocab, gate_mode, history_mode, enc_params)
+        return cls.init(config, local.vocab, gate_mode, enc_params)
 
 
 @dataclass
@@ -415,12 +406,7 @@ def train_global(
     one Adam step.
     """
     index = build_index(kb)
-    model = GlobalModel.from_local(
-        local_model,
-        max_len=cfg.max_len_global,
-        gate_mode=cfg.gate_mode,
-        history_mode=cfg.history_mode,
-    )
+    model = GlobalModel.from_local(local_model, max_len=cfg.max_len_global, gate_mode=cfg.gate_mode)
 
     with_nil = local_model.nil_verifier
     multi = [t for t in corpus if len(t.mentions) >= 2]
@@ -470,5 +456,6 @@ def train_global(
         }
         logs.append(record)
 
-    write_log(logs, log_path)
+    if log_path is not None:
+        write_jsonl(log_path, logs)
     return model, logs

@@ -6,8 +6,7 @@ order-independent sum.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -15,6 +14,7 @@ import numpy as np
 from .config import RunConfig
 from .corpus import AnnotatedText, Mention
 from .errors import InputFormatError
+from .jsonl import read_jsonl, write_jsonl
 from .kb import NIL, AliasIndex, KnowledgeBase, build_index
 from .local import LocalModel, run_local_pass
 from .multiturn import GlobalModel, MultiTurnResult, run_multi_turn
@@ -149,16 +149,8 @@ class EvalReport:
     n_correct: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "nil_precision": self.nil_precision,
-            "nil_recall": self.nil_recall,
-            "nil_precision_defined": self.nil_precision_defined,
-            "nil_recall_defined": self.nil_recall_defined,
-            "by_mention_count": {str(k): v for k, v in sorted(self.by_mention_count.items())},
-            "n_mentions": self.n_mentions,
-            "n_correct": self.n_correct,
-        }
+        by_count = {str(k): v for k, v in sorted(self.by_mention_count.items())}
+        return asdict(self) | {"by_mention_count": by_count}
 
 
 def evaluate(
@@ -178,6 +170,8 @@ def evaluate(
     for i, (text, decs) in enumerate(zip(corpus, decisions)):
         if len(text.mentions) != len(decs):
             raise InputFormatError(f"text {i}: {len(decs)} decisions for {len(text.mentions)} mentions")
+        if not text.mentions:
+            continue
         bucket = per_count.setdefault(len(text.mentions), [0, 0])
         for mention, dec in zip(text.mentions, decs):
             if mention.gold is None:
@@ -209,48 +203,34 @@ def evaluate(
 
 def save_decisions(decisions: Sequence[Sequence[LinkDecision]], path: str) -> None:
     """Line-delimited JSON, one record per mention, in corpus order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for text_index, decs in enumerate(decisions):
-            for dec in decs:
-                fh.write(json.dumps(dec.to_record(text_index), ensure_ascii=False) + "\n")
+    write_jsonl(path, (dec.to_record(ti) for ti, decs in enumerate(decisions) for dec in decs))
 
 
 def load_decisions(path: str, corpus: Sequence[AnnotatedText]) -> list[list[LinkDecision]]:
     """Re-attach a decisions file to its corpus, matching by text index and span."""
+
+    def decision(rec: dict) -> tuple[int, LinkDecision]:
+        ti = int(rec["text"])
+        start, end = (int(x) for x in rec["span"])
+        if not 0 <= ti < len(corpus):
+            raise ValueError(f"text index {ti} out of range")
+        mention = next((m for m in corpus[ti].mentions if m.span == (start, end)), None)
+        if mention is None:
+            raise ValueError(f"no mention at span ({start}, {end}) in text {ti}")
+        return ti, LinkDecision(
+            mention=mention,
+            candidate_ids=tuple(rec.get("candidates", [])),
+            local_probs=np.asarray(rec.get("local", []), dtype=np.float64),
+            global_probs=None if rec.get("global") is None else np.asarray(rec["global"], dtype=np.float64),
+            fused_probs=None if rec.get("fused") is None else np.asarray(rec["fused"], dtype=np.float64),
+            selected=str(rec["selected"]),
+            rank=int(rec.get("rank", 0)),
+            nil_prob=rec.get("nil_prob"),
+        )
+
     per_text: list[list[LinkDecision]] = [[] for _ in corpus]
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                ti = int(rec["text"])
-                start, end = (int(x) for x in rec["span"])
-                if not 0 <= ti < len(corpus):
-                    raise ValueError(f"text index {ti} out of range")
-                mention = next(
-                    (m for m in corpus[ti].mentions if m.span == (start, end)), None
-                )
-                if mention is None:
-                    raise ValueError(f"no mention at span ({start}, {end}) in text {ti}")
-                dec = LinkDecision(
-                    mention=mention,
-                    candidate_ids=tuple(rec.get("candidates", [])),
-                    local_probs=np.asarray(rec.get("local", []), dtype=np.float64),
-                    global_probs=None
-                    if rec.get("global") is None
-                    else np.asarray(rec["global"], dtype=np.float64),
-                    fused_probs=None
-                    if rec.get("fused") is None
-                    else np.asarray(rec["fused"], dtype=np.float64),
-                    selected=str(rec["selected"]),
-                    rank=int(rec.get("rank", 0)),
-                    nil_prob=rec.get("nil_prob"),
-                )
-                per_text[ti].append(dec)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise InputFormatError(f"{path}:{lineno}: bad decision record: {exc}") from exc
+    for ti, dec in read_jsonl(path, "decision", decision):
+        per_text[ti].append(dec)
     for ti, decs in enumerate(per_text):
         order = {m.span: i for i, m in enumerate(corpus[ti].mentions)}
         decs.sort(key=lambda d: order[d.mention.span])

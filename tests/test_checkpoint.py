@@ -130,20 +130,25 @@ def test_wrong_kind_rejected(kind, tmp_path):
         load_model(str(path), other)
 
 
-@pytest.mark.parametrize("value", [True, False])
-def test_global_header_with_a_nil_verifier_key_loads(value, tmp_path):
-    """Global checkpoints once stored the local model's ``nil_verifier``; the key is ignored."""
+@pytest.mark.parametrize(
+    "key,value",
+    [("nil_verifier", True), ("nil_verifier", False), ("history_mode", "last")],
+    ids=["True", "False", "history_mode"],
+)
+def test_global_header_with_a_nil_verifier_key_loads(key, value, tmp_path):
+    """Global checkpoints once stored the local model's ``nil_verifier`` and a
+    ``history_mode`` that nothing read; both keys are ignored."""
     path, header, tensors = saved("global", tmp_path)
-    header["nil_verifier"] = value
+    header[key] = value
     enc.save_checkpoint(str(path), header, tensors)
     back = load_model(str(path), GlobalModel)
-    assert not hasattr(back, "nil_verifier")
+    assert not hasattr(back, key)
     assert list(back.parameters()) == list(tensors)
     for name, t in back.parameters().items():
         assert t.tobytes() == tensors[name].tobytes()
 
 
-@pytest.mark.parametrize("mode", [("gate_mode", "gru_like"), ("history_mode", "other")])
+@pytest.mark.parametrize("mode", [("gate_mode", "gru_like")])
 def test_unknown_global_mode_rejected(mode, tmp_path):
     path, header, tensors = saved("global", tmp_path)
     header[mode[0]] = mode[1]

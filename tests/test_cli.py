@@ -1,9 +1,14 @@
 """Command-line workflow and exit-code tests."""
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrclink.cli import main
+from mrclink.config import GATE_MODES, HISTORY_MODES
 from mrclink.corpus import AnnotatedText, Mention, load_corpus, save_corpus
 from mrclink.encoder import EncoderConfig, load_checkpoint, save_checkpoint
 from mrclink.kb import load_kb
@@ -191,3 +196,157 @@ def test_directory_for_a_file_exits_2(command, flag, workdir, untrained_local, t
     rc = main([command] + [str(part) for pair in args.items() for part in pair])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# One bad file each; every one must exit 2 with a single ``input error:`` line.
+BAD_INPUTS = {
+    "kb_not_utf8": ("--kb", b'{"id": "e1", "name": "\xff"}\n'),
+    "kb_popularity_1e400": ("--kb", b'{"id": "e1", "name": "n", "popularity": 1e400}\n'),
+    "kb_aliases_string": ("--kb", b'{"id": "e1", "name": "n", "aliases": "xyz"}\n'),
+    "corpus_not_utf8": ("--corpus", b'{"text": "\xe9t\xe9", "mentions": []}\n'),
+    "corpus_array_line": ("--corpus", b'{"text": "ok", "mentions": []}\n[1, 2]\n'),
+    "corpus_start_1e400": ("--corpus", b'{"text": "ab", "mentions": [{"start": 1e400, "end": 2, "surface": "ab"}]}'),
+    "config_not_utf8": ("--config", b'{"seed": "\xff"}'),
+}
+BAD_CONFIGS = [
+    {"encoder": {"d": 30, "n_heads": 4}},
+    {"encoder": {"d": 0}},
+    {"max_len_local": 4},
+    {"lr_local": "x"},
+    {"encoder": [1, 2]},
+    {"stop_accuracy": "high"},
+    {"seed": -1},
+    {"nil_verifier": "no"},
+    {"epochs_local": -1},
+]
+for i, bad in enumerate(BAD_CONFIGS):
+    BAD_INPUTS[f"config{i}"] = ("--config", json.dumps(CFG | bad).encode("utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_file_exits_2_with_one_line(name, workdir, tmp_path, capsys):
+    flag, payload = BAD_INPUTS[name]
+    bad = tmp_path / "bad"
+    bad.write_bytes(payload)
+    args = {"--kb": workdir / "kb.jsonl", "--corpus": workdir / "train.jsonl", "--config": workdir / "cfg.json"}
+    args[flag] = bad
+    argv = ["train-local", *(str(part) for pair in args.items() for part in pair), "--out", str(tmp_path / "m.ckpt")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and str(bad) in err[0]
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_eval_of_a_text_without_mentions_exits_0(workdir, untrained_local, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    texts = load_corpus(str(workdir / "test.jsonl"))[:3]
+    save_corpus(texts[:1] + [AnnotatedText("no mentions here", ())] + texts[1:], str(corpus))
+    out = tmp_path / "dec.jsonl"
+    assert main([
+        "link", "--kb", str(workdir / "kb.jsonl"), "--corpus", str(corpus),
+        "--local-model", str(untrained_local), "--config", str(workdir / "cfg.json"), "--out", str(out),
+    ]) == 0
+    assert main(["eval", "--corpus", str(corpus), "--decisions", str(out), "--out", str(tmp_path / "r.json")]) == 0
+    report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+    assert report["n_mentions"] == sum(len(t.mentions) for t in texts)
+    assert "0" not in report["by_mention_count"]
+
+
+WORDS = ["Alpha", "alpha", "李娜", "Zürich", "ﬁne", "Ålesund", "beta", "ÇA", "nowhere", "x"]
+SURFACES = st.sampled_from(WORDS) | st.text(
+    st.characters(codec="utf-8", exclude_categories=["Cs", "Cc", "Z"]), min_size=1, max_size=5
+)
+# at most one file of an example is damaged, with one of these
+DAMAGE = {
+    "kb": [
+        b"{not json", b"[1, 2]", b'{"id": "\xff", "name": "n"}', b'{"id": "z", "name": "n", "popularity": 1e400}',
+        b'{"id": "e0", "name": "twin"}', b'{"id": "z", "name": "n", "aliases": "xyz"}',
+    ],
+    "corpus": [
+        b"{not json", b'"text"', b'{"text": "\xe9", "mentions": []}',
+        b'{"text": "ab", "mentions": [{"start": 1e400, "end": 2, "surface": "ab"}]}',
+    ],
+    "config": [b"{\xff}", b"{", *(json.dumps(CFG | bad).encode("utf-8") for bad in BAD_CONFIGS)],
+}
+
+
+@st.composite
+def kb_lines(draw):
+    return [
+        json.dumps({
+            "id": f"e{i}",
+            "name": draw(SURFACES),
+            "description": " ".join(draw(st.lists(SURFACES, max_size=4))),
+            "aliases": draw(st.lists(SURFACES, max_size=3)),  # may repeat a surface of another entity
+            "popularity": draw(st.integers(0, 3)),
+        }, ensure_ascii=False).encode("utf-8")
+        for i in range(draw(st.integers(1, 5)))
+    ]
+
+
+@st.composite
+def corpus_lines(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        words = draw(st.lists(SURFACES, min_size=1, max_size=5))
+        text, mentions = "", []
+        for w in words:
+            start = len(text) + bool(text)
+            text = f"{text} {w}" if text else w
+            if draw(st.booleans()):
+                gold = draw(st.sampled_from(["e0", "e1", "e2", "NIL"]))
+                mentions.append({"start": start, "end": start + len(w), "surface": w, "gold": gold})
+        lines.append(json.dumps({"text": text, "mentions": mentions}, ensure_ascii=False).encode("utf-8"))
+    return lines
+
+
+@st.composite
+def config_lines(draw):
+    cfg = {
+        "K": draw(st.integers(1, 4)),
+        "alpha1": draw(st.floats(0.0, 1.0)),
+        "alpha2": draw(st.floats(0.1, 1.0)),
+        "beta": draw(st.floats(0.0, 1.0)),
+        "nil_threshold": draw(st.floats(0.0, 1.0)),
+        "seed": draw(st.integers(0, 2**32)),
+        "encoder": {"d": 8, "n_layers": draw(st.integers(1, 2)), "n_heads": draw(st.sampled_from([1, 2, 4, 8]))},
+        "max_len_local": draw(st.integers(8, 64)),
+        "max_len_global": draw(st.integers(8, 64)),
+        "lr_local": draw(st.floats(1e-5, 1e-2)),
+        "lr_global": draw(st.floats(1e-5, 1e-2)),
+        "warmup": draw(st.floats(0.0, 1.0)),
+        "epochs_local": 1,
+        "epochs_global": 1,
+        "stop_accuracy": draw(st.none() | st.floats(0.0, 1.0)),
+        "gate_mode": draw(st.sampled_from(GATE_MODES)),
+        "history_mode": draw(st.sampled_from(HISTORY_MODES)),
+        **{flag: draw(st.booleans()) for flag in ("nil_verifier", "nil_override", "no_rerank", "no_query_update")},
+    }
+    return [json.dumps(cfg).encode("utf-8")]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_generated_inputs_exit_0_2_or_3(data):
+    """Every command of the train, link and eval flow returns 0, 2 or 3 on
+    generated KB, corpus and config files, damaged ones included."""
+    files = {"kb": data.draw(kb_lines()), "corpus": data.draw(corpus_lines()), "config": data.draw(config_lines())}
+    damaged = data.draw(st.sampled_from([None, None, None, *DAMAGE]))
+    if damaged is not None:  # a damaged record file gains one bad line; a damaged config is the bad line alone
+        lines = files[damaged] if damaged != "config" else []
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(DAMAGE[damaged])))
+        files[damaged] = lines
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, lines in files.items():
+            (root / name).write_bytes(b"\n".join(lines) + b"\n")
+        steps = [
+            ("train-local", "--kb kb --corpus corpus --config config --out local"),
+            ("train-global", "--kb kb --corpus corpus --local-model local --config config --out global"),
+            ("link", "--kb kb --corpus corpus --local-model local --global-model global --config config --out dec"),
+            ("eval", "--corpus corpus --decisions dec --out report"),
+        ]
+        for command, args in steps:
+            argv = [command, *(str(root / a) if i % 2 else a for i, a in enumerate(args.split()))]
+            assert main(argv) in (0, 2, 3), argv

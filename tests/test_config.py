@@ -58,3 +58,41 @@ def test_invalid_values_rejected():
     # the range ends and a zero weight stay valid
     assert RunConfig(beta=0.0).beta == 0.0 and RunConfig(beta=1.0).beta == 1.0
     assert RunConfig(alpha2=0.0).alpha2 == 0.0
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"encoder": {"d": 30, "n_heads": 4}},
+        {"encoder": {"d": 0}},
+        {"encoder": {"d": 8.0}},
+        {"encoder": [1, 2]},
+        {"max_len_local": 4},
+        {"max_len_global": 7},
+        {"lr_local": "x"},
+        {"lr_global": float("inf")},
+        {"stop_accuracy": "high"},
+        {"stop_accuracy": True},
+        {"seed": -1},
+        {"k": True},
+        {"nil_verifier": "no"},
+        {"epochs_local": -1},
+    ],
+    ids=repr,
+)
+def test_values_that_break_training_rejected(data):
+    with pytest.raises(InputFormatError):
+        RunConfig.from_dict(data)
+
+
+def test_ints_pass_for_floats_and_stop_accuracy_may_be_null():
+    cfg = RunConfig.from_dict({"lr_local": 1, "beta": 0, "stop_accuracy": 1, "epochs_local": 0})
+    assert (cfg.lr_local, cfg.beta, cfg.stop_accuracy, cfg.epochs_local) == (1, 0, 1, 0)
+    assert RunConfig.from_dict({"stop_accuracy": None}).stop_accuracy is None
+
+
+def test_non_utf8_config_rejected(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    with pytest.raises(InputFormatError, match="cfg.json"):
+        RunConfig.from_file(str(path))

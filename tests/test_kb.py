@@ -227,3 +227,10 @@ class TestEntityAndIO:
         path.write_text('{"id": "e1"}\n', encoding="utf-8")
         with pytest.raises(InputFormatError):
             load_kb(str(path))
+
+    @pytest.mark.parametrize("aliases", ['"xyz"', '{"x": 1}', "3"])
+    def test_aliases_that_are_not_a_list_rejected(self, aliases, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        path.write_text(f'{{"id": "e1", "name": "n", "aliases": {aliases}}}\n', encoding="utf-8")
+        with pytest.raises(InputFormatError, match=r":1: bad KB record: aliases must be a list"):
+            load_kb(str(path))

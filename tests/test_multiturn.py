@@ -504,7 +504,6 @@ class TestTrainGlobal:
         back = load_model(str(path), GlobalModel)
         assert back.config == model.config
         assert back.gate_mode == model.gate_mode
-        assert back.history_mode == model.history_mode
         for k, v in model.parameters().items():
             assert back.parameters()[k].tobytes() == v.tobytes()
 
@@ -523,7 +522,7 @@ class TestParameterLayout:
         kb, corpus = multi_world()
         cfg, local, glob = make_models(kb, corpus)
         plain = LocalModel.init(local.config, local.vocab, nil_verifier=False)
-        concat = GlobalModel.from_local(local, max_len=40, gate_mode="concat", history_mode="last")
+        concat = GlobalModel.from_local(local, max_len=40, gate_mode="concat")
         for i, model in enumerate((local, plain, glob, concat)):
             assert_flat_layout(model)
             path = tmp_path / f"model{i}.ckpt"

@@ -236,6 +236,14 @@ class TestEvaluate:
         assert report.nil_recall == 0.0 and report.nil_recall_defined
         assert report.nil_precision == 0.0 and not report.nil_precision_defined
 
+    def test_text_without_mentions_adds_no_bucket(self):
+        corpus = self.corpus()
+        picks = [["e1", "e3"], [NIL], ["e1"]]
+        report = evaluate(corpus, fake_decisions(corpus, picks))
+        empty = AnnotatedText("no mentions here", ())
+        with_empty = evaluate(corpus + [empty], fake_decisions(corpus + [empty], picks + [[]]))
+        assert with_empty == report
+
     def test_missing_gold_rejected(self):
         corpus = [AnnotatedText("x y", (Mention(0, 1, "x"),))]
         with pytest.raises(InputFormatError):
