@@ -13,6 +13,14 @@ GATE_MODES = ("gated", "concat")
 HISTORY_MODES = ("flow", "last")
 
 
+def _finite(value: float) -> bool:
+    """``math.isfinite``, and False for an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass
 class EncoderSettings:
     """Width/depth of the reference encoder; vocab size comes from the data."""
@@ -49,7 +57,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         # every value, the encoder's too, must have the type of its default:
         # an int passes for a float, a bool never passes for a number, and
-        # a None default takes None or a number; a float must be finite
+        # a None default takes None or a number; a number in a float field
+        # must convert to a finite float
         for obj in (self, self.encoder):
             for f in fields(obj):
                 default = f.default_factory() if f.default is MISSING else f.default
@@ -60,7 +69,7 @@ class RunConfig:
                 if (
                     isinstance(value, bool) != isinstance(default, bool)
                     or not isinstance(value, want)
-                    or (isinstance(value, float) and not math.isfinite(value))
+                    or (want == (int, float) and not _finite(value))
                 ):
                     kind = want.__name__ if want != (int, float) else "a finite number"
                     kind = "null or " + kind if default is None else kind
@@ -113,7 +122,8 @@ class RunConfig:
             if not isinstance(data, dict):
                 raise InputFormatError("config must be a JSON object")
             return cls.from_dict(data)
-        except ValueError as exc:  # a UTF-8 or JSON decode error, or a bad value
+        # a UTF-8 or JSON decode error, JSON nested too deeply, or a bad value
+        except (ValueError, RecursionError) as exc:
             raise InputFormatError(f"{path}: {exc}") from exc
 
     def save(self, path: str) -> None:

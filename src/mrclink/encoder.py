@@ -135,10 +135,13 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 
 def _layer_norm_backward(dy: np.ndarray, cache):
+    """Gradients w.r.t. the input, gain and bias; the means are ``sum / n``,
+    as in ``_layer_norm``."""
     xhat, inv, gain = cache
+    n = dy.shape[-1]
     dxhat = dy * gain
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = dxhat.sum(axis=-1, keepdims=True) / n
+    m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
     dx = (dxhat - m1 - xhat * m2) * inv
     sum_axes = tuple(range(dy.ndim - 1))
     dgain = (dy * xhat).sum(axis=sum_axes)
@@ -345,11 +348,22 @@ def backprop_batch(tape: EncoderTape, pooled_grad: np.ndarray, grads: Mapping[st
 @dataclass
 class AdamState:
     """Step count and the first and second moment vectors, laid out like the
-    parameter vector they step."""
+    parameter vector they step.
+
+    ``denom`` and ``delta`` are scratch vectors of the same size, allocated
+    once here, into which ``adam_step`` writes its intermediates, so a step
+    allocates no parameter-sized temporary.
+    """
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    denom: np.ndarray = field(init=False, repr=False, compare=False)
+    delta: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.denom = np.empty_like(self.m)
+        self.delta = np.empty_like(self.m)
 
     @classmethod
     def zeros_like(cls, params: np.ndarray) -> "AdamState":
@@ -367,7 +381,11 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
     linearly over ``warmup_steps``; ``grads``, ``state.m`` and ``state.v``
     share the layout of ``params``.
 
-    Non-finite gradients raise before anything is written.
+    Non-finite gradients raise before anything is written. Every
+    intermediate goes into the state's scratch vectors, one IEEE operation
+    at a time in the order of the textbook update
+    ``lr_t * (m / bc1) / (sqrt(v / bc2) + eps)``, so the result is bitwise
+    that of the out-of-place form.
     """
     if not np.all(np.isfinite(grads)):
         raise ValueError("non-finite gradient")
@@ -375,12 +393,21 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
     lr_t = lr * min(1.0, t / warmup_steps) if warmup_steps > 0 else lr
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    m, v = state.m, state.v
+    m, v, denom, delta = state.m, state.v, state.denom, state.delta
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grads
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=denom)
+    m += denom
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grads * grads
-    params -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=denom)
+    denom *= grads
+    v += denom
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, bc1, out=delta)
+    delta *= lr_t
+    delta /= denom
+    params -= delta
     state.step = t
 
 
@@ -413,7 +440,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         header_line = fh.readline().removesuffix(b"\n")
         try:
             header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ModelConfigError(f"{path}: bad checkpoint header: {exc}") from exc
         tensors: dict[str, np.ndarray] = {}
         try:

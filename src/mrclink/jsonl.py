@@ -14,10 +14,11 @@ def read_jsonl(path: str, what: str, build: Callable[[dict], T]) -> list[T]:
     """``build(record)`` for the JSON object on each non-blank line of a UTF-8
     file, in file order.
 
-    A line that is not a JSON object, or whose ``build`` raises ``KeyError``,
-    ``TypeError``, ``ValueError`` or ``OverflowError``, raises
-    ``InputFormatError`` naming the path, the line and the ``what`` of the
-    record; bytes that are not UTF-8 raise it naming the path.
+    A line that is not a JSON object (nested too deeply to parse counts),
+    or whose ``build`` raises ``KeyError``, ``TypeError``, ``ValueError`` or
+    ``OverflowError``, raises ``InputFormatError`` naming the path, the line
+    and the ``what`` of the record; bytes that are not UTF-8 raise it naming
+    the path.
     """
     items = []
     try:
@@ -31,7 +32,7 @@ def read_jsonl(path: str, what: str, build: Callable[[dict], T]) -> list[T]:
                     if not isinstance(rec, dict):
                         raise TypeError(f"expected a JSON object, got {type(rec).__name__}")
                     items.append(build(rec))
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                     raise InputFormatError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from exc

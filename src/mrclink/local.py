@@ -142,6 +142,20 @@ class Model:
             raise ValueError(f"non-finite gradient for {bad!r}") from None
 
 
+def zeroed_grads(
+    model: Model, out: np.ndarray | None = None, views: dict[str, dict[str, np.ndarray]] | None = None
+) -> tuple[np.ndarray, dict[str, dict[str, np.ndarray]]]:
+    """A zero gradient vector laid out like ``model.flat``, and its views:
+    ``out`` zeroed in place when given (its ``views`` reused when given too),
+    else a new vector. Training reuses one vector across steps, so a step
+    allocates no parameter-sized array and faults in no fresh pages."""
+    if out is None:
+        out = np.zeros_like(model.flat)
+    else:
+        out.fill(0.0)
+    return out, model.views(out) if views is None else views
+
+
 def check_vocab(config: EncoderConfig, vocab: Vocabulary) -> None:
     """Token ids must index the embedding rows one to one."""
     if config.vocab_size != len(vocab):
@@ -388,7 +402,13 @@ def training_candidates(
 
 
 def local_backward(
-    model: LocalModel, tape: ScoreTape, dlogits: np.ndarray, dlogit: float, cfg: RunConfig
+    model: LocalModel,
+    tape: ScoreTape,
+    dlogits: np.ndarray,
+    dlogit: float,
+    cfg: RunConfig,
+    out: np.ndarray | None = None,
+    views: dict[str, dict[str, np.ndarray]] | None = None,
 ) -> np.ndarray:
     """Gradient of ``joint_local_loss`` as a vector laid out like
     ``model.flat``: ``dlogits`` is the answer-loss gradient w.r.t. the option
@@ -398,9 +418,11 @@ def local_backward(
     The head gradient goes into the option rows and the verifier-MLP gradient
     into the query row of one ``dpooled``, sent back in one encoder backward,
     so the tape's encoder batch must hold this candidate set's rows alone.
+
+    With ``out`` (and its ``model.views``, if the caller keeps them) the
+    gradient overwrites ``out``, which is returned; otherwise a new vector is.
     """
-    grads = np.zeros_like(model.flat)
-    views = model.views(grads)
+    grads, views = zeroed_grads(model, out, views)
     n = len(dlogits)
     doptions = head_backward(model.head, tape.pooled[:n], dlogits, cfg.alpha1, views["head"])
     dpooled = np.zeros_like(tape.pooled)
@@ -474,6 +496,8 @@ def train_local(
     total_steps = cfg.epochs_local * len(train_units)
     warmup_steps = enc.warmup_steps(cfg.warmup, total_steps)
     adam = enc.AdamState.zeros_like(model.flat)
+    grads = np.empty_like(model.flat)
+    grad_views = model.views(grads)
     rng = np.random.default_rng(cfg.seed)
     logs: list[dict] = []
 
@@ -492,7 +516,7 @@ def train_local(
             [scores], [tape] = score_options(model, [(cands, query)])
             l_ans, dlogits = answer_loss(scores, gold_index)
             l_nil, dlogit = (0.0, 0.0) if scores.nil is None else nil_loss(scores.nil, linkable)
-            grads = local_backward(model, tape, dlogits, dlogit, cfg)
+            local_backward(model, tape, dlogits, dlogit, cfg, out=grads, views=grad_views)
             losses.append(joint_local_loss(l_ans, l_nil, cfg))
 
             predicted, _ = local_predict(scores, cfg.nil_threshold, cfg.nil_override)

@@ -31,6 +31,7 @@ from .local import (
     init_head,
     run_local_pass,
     training_candidates,
+    zeroed_grads,
 )
 
 
@@ -284,12 +285,17 @@ def global_loss(scores: GlobalScores, gold_index: int) -> tuple[float, np.ndarra
 
 
 def global_backward(
-    model: GlobalModel, tape: GlobalTape, dlogits: np.ndarray, scale: float = 1.0
+    model: GlobalModel,
+    tape: GlobalTape,
+    dlogits: np.ndarray,
+    scale: float = 1.0,
+    out: np.ndarray | None = None,
+    views: dict[str, dict[str, np.ndarray]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward through head, gate, and encoder: the parameter gradient as a
-    vector laid out like ``model.flat``, and the history gradient."""
-    grads = np.zeros_like(model.flat)
-    views = model.views(grads)
+    vector laid out like ``model.flat``, and the history gradient. ``out``
+    and ``views`` work as in ``local_backward``."""
+    grads, views = zeroed_grads(model, out, views)
     dfused = head_backward(model.head, tape.gate_fusion.fused, dlogits, scale, views["head"])
     draw, dhistory = gate_backward(tape.gate_fusion, dfused, model.gate, views["gate"], model.gate_mode)
     enc.backprop_batch(tape.enc_tape, draw, views["enc"])
@@ -415,6 +421,14 @@ def train_global(
     total_steps = cfg.epochs_global * len(multi)
     warmup_steps = enc.warmup_steps(cfg.warmup, total_steps)
     adam = enc.AdamState.zeros_like(model.flat)
+    # One text's gradient sum and one turn's gradient, reused across steps.
+    # Each turn is backpropagated into its own zeroed vector and then added
+    # to the sum: backpropagating straight into the sum would round the
+    # ``tok_emb`` rows, which ``backprop_batch`` adds one at a time,
+    # differently on a text with two or more scored turns.
+    text_grads = np.empty_like(model.flat)
+    turn_grads = np.empty_like(model.flat)
+    turn_views = model.views(turn_grads)
     rng = np.random.default_rng(cfg.seed + 7)
     logs: list[dict] = []
 
@@ -431,7 +445,7 @@ def train_global(
             options = [None if t is None else t[0] for t in targets]
             walked = walk_turns(model, text, order, options, lambda i, _: golds[i], cfg)
 
-            turn_grads = np.zeros_like(model.flat)
+            text_grads.fill(0.0)
             turn_losses: list[float] = []
             for i in order:
                 if walked[i] is None:
@@ -439,14 +453,15 @@ def train_global(
                 (scores, tape), gold_index = walked[i], targets[i][1]
                 loss, dlogits = global_loss(scores, gold_index)
                 turn_losses.append(loss)
-                turn_grads += global_backward(model, tape, dlogits)[0]
+                global_backward(model, tape, dlogits, out=turn_grads, views=turn_views)
+                text_grads += turn_grads
                 n_scored += 1
                 n_correct += int(np.argmax(scores.probs)) == gold_index
 
             if not turn_losses:
                 continue
-            turn_grads *= 1.0 / len(turn_losses)
-            model.step(turn_grads, adam, cfg.lr_global, warmup_steps)
+            text_grads *= 1.0 / len(turn_losses)
+            model.step(text_grads, adam, cfg.lr_global, warmup_steps)
             losses.append(float(np.mean(turn_losses)))
 
         record = {

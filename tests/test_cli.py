@@ -141,6 +141,17 @@ def test_checkpoint_without_head_exits_3(workdir, untrained_local, tmp_path, cap
     assert "head.score_w" in capsys.readouterr().err
 
 
+def test_deeply_nested_checkpoint_header_exits_3(workdir, tmp_path, capsys):
+    ckpt = tmp_path / "deep.ckpt"
+    ckpt.write_bytes(b"MRCL1\n" + b"[" * 100_000 + b"\n")
+    rc = main([
+        "link", "--kb", str(workdir / "kb.jsonl"), "--corpus", str(workdir / "test.jsonl"),
+        "--local-model", str(ckpt), "--out", str(tmp_path / "dec.jsonl"),
+    ])
+    assert rc == 3
+    assert "bad checkpoint header" in capsys.readouterr().err
+
+
 def test_overlong_text_exits_2(workdir, untrained_local, tmp_path, capsys):
     surface = load_corpus(str(workdir / "test.jsonl"))[0].mentions[0].surface
     words = [surface] + ["filler"] * 60  # 61 query tokens for max_len_local 48
@@ -207,6 +218,8 @@ BAD_INPUTS = {
     "corpus_array_line": ("--corpus", b'{"text": "ok", "mentions": []}\n[1, 2]\n'),
     "corpus_start_1e400": ("--corpus", b'{"text": "ab", "mentions": [{"start": 1e400, "end": 2, "surface": "ab"}]}'),
     "config_not_utf8": ("--config", b'{"seed": "\xff"}'),
+    "corpus_deep_nesting": ("--corpus", b"[" * 100_000 + b"\n"),
+    "config_deep_nesting": ("--config", b"[" * 100_000),
 }
 BAD_CONFIGS = [
     {"encoder": {"d": 30, "n_heads": 4}},
@@ -218,6 +231,7 @@ BAD_CONFIGS = [
     {"seed": -1},
     {"nil_verifier": "no"},
     {"epochs_local": -1},
+    {"lr_local": 10**400},
 ]
 for i, bad in enumerate(BAD_CONFIGS):
     BAD_INPUTS[f"config{i}"] = ("--config", json.dumps(CFG | bad).encode("utf-8"))

@@ -77,6 +77,8 @@ def test_invalid_values_rejected():
         {"k": True},
         {"nil_verifier": "no"},
         {"epochs_local": -1},
+        {"lr_local": 10**400},
+        {"stop_accuracy": -(10**400)},
     ],
     ids=repr,
 )

@@ -1,4 +1,6 @@
 """Reference encoder: forward oracle, exact gradients, Adam, checkpoints."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,6 +253,20 @@ def _ref_layer_norm_backward(dy, cache):
     return dx, (dy * xhat).sum(axis=0), dy.sum(axis=0)
 
 
+@pytest.mark.parametrize("shape", [(3, 1, 32), (3, 7, 32)], ids=["B,1,d", "B,T,d"])
+def test_layer_norm_backward_means_are_np_mean_bitwise(shape):
+    rng = np.random.default_rng(5)
+    x, dy = rng.normal(size=shape), rng.normal(size=shape)
+    _, cache = enc._layer_norm(x, rng.normal(size=shape[-1]), rng.normal(size=shape[-1]))
+    dx, dgain, dbias = enc._layer_norm_backward(dy, cache)
+    xhat, inv, gain = cache
+    dxhat = dy * gain
+    ref = (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+    assert dx.tobytes() == ref.tobytes()
+    assert dgain.tobytes() == (dy * xhat).sum(axis=(0, 1)).tobytes()
+    assert dbias.tobytes() == dy.sum(axis=(0, 1)).tobytes()
+
+
 def full_width_reference(params, cfg, tokens, pooled_grad):
     """One unpadded row run through every block at every position, head by
     head, then back again from ``pooled_grad`` at position 0: the pooled
@@ -440,6 +456,21 @@ class TestAdam:
             assert (params.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step) == (
                 p.tobytes(), m.tobytes(), v.tobytes(), t
             )
+
+    def test_step_allocates_less_than_one_parameter_vector(self):
+        # intermediates go into the state's scratch vectors; only the
+        # finite-check mask (one byte per float) is allocated
+        rng = np.random.default_rng(12)
+        params, grads = rng.normal(size=100_000), rng.normal(size=100_000)
+        state = AdamState.zeros_like(params)
+        adam_step(params, grads, state, lr=0.01)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, lr=0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.nbytes
 
     def test_configured_learning_rate_defaults(self):
         cfg = RunConfig()
