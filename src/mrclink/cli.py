@@ -59,34 +59,19 @@ def _cmd_build_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train_local(args: argparse.Namespace) -> int:
+def _cmd_train(args: argparse.Namespace) -> int:
+    """``train-local`` or ``train-global``: write the model and print its last epoch's loss and accuracy."""
     cfg = _load_config(args.config)
     kb = load_kb(args.kb)
     corpus = load_corpus(args.corpus)
-    model, logs = train_local(corpus, kb, cfg, log_path=args.log)
+    if args.command == "train-local":
+        model, logs = train_local(corpus, kb, cfg, log_path=args.log)
+    else:
+        model, logs = train_global(corpus, kb, load_model(args.local_model, LocalModel), cfg, log_path=args.log)
     save_model(model, args.out)
     if logs:
         last = logs[-1]
-        print(
-            f"epoch {last['epoch']}: loss {last['loss']:.4f} "
-            f"accuracy {last['answer_accuracy']:.4f}"
-        )
-    return 0
-
-
-def _cmd_train_global(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    kb = load_kb(args.kb)
-    corpus = load_corpus(args.corpus)
-    local_model = load_model(args.local_model, LocalModel)
-    model, logs = train_global(corpus, kb, local_model, cfg, log_path=args.log)
-    save_model(model, args.out)
-    if logs:
-        last = logs[-1]
-        print(
-            f"epoch {last['epoch']}: loss {last['loss']:.4f} "
-            f"accuracy {last['answer_accuracy']:.4f}"
-        )
+        print(f"epoch {last['epoch']}: loss {last['loss']:.4f} accuracy {last['answer_accuracy']:.4f}")
     return 0
 
 
@@ -145,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.add_argument("--log")
-    p.set_defaults(func=_cmd_train_local)
+    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("train-global", help="train the multi-turn model")
     p.add_argument("--kb", required=True)
@@ -154,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.add_argument("--log")
-    p.set_defaults(func=_cmd_train_global)
+    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("link", help="link a corpus and write decisions")
     p.add_argument("--kb", required=True)

@@ -78,16 +78,17 @@ class RunConfig:
             raise InputFormatError("k must be >= 1")
         if self.alpha1 < 0 or self.alpha2 < 0 or self.alpha1 + self.alpha2 <= 0:
             raise InputFormatError("loss weights must be non-negative with a positive sum")
-        if not 0.0 <= self.beta <= 1.0:
-            raise InputFormatError("beta must be in [0, 1]")
+        for name in ("beta", "nil_threshold", "warmup"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise InputFormatError(f"{name} must be in [0, 1]")
         if self.gate_mode not in GATE_MODES:
             raise InputFormatError(f"gate_mode must be one of {GATE_MODES}")
         if self.history_mode not in HISTORY_MODES:
             raise InputFormatError(f"history_mode must be one of {HISTORY_MODES}")
         if min(self.max_len_local, self.max_len_global) < 8:
             raise InputFormatError("max_len_local and max_len_global must be >= 8")
-        if min(self.seed, self.epochs_local, self.epochs_global) < 0:
-            raise InputFormatError("seed, epochs_local and epochs_global must be >= 0")
+        if min(self.seed, self.epochs_local, self.epochs_global, self.lr_local, self.lr_global) < 0:
+            raise InputFormatError("seed, epochs_local, epochs_global, lr_local and lr_global must be >= 0")
         try:
             EncoderConfig(vocab_size=1, max_len=self.max_len_local, seed=self.seed, **asdict(self.encoder))
         except ValueError as exc:

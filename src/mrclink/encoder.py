@@ -20,6 +20,8 @@ sums in a fixed order for bitwise reproducibility.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping
@@ -433,6 +435,8 @@ def save_checkpoint(path: str, header: dict, tensors: Mapping[str, np.ndarray]) 
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a ``save_checkpoint`` file. A record that claims more bytes than
+    the file has left raises ``ModelConfigError`` before anything is read."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
@@ -442,22 +446,21 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ModelConfigError(f"{path}: bad checkpoint header: {exc}") from exc
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n: int, what: str = "tensor record") -> bytes:
+            if n > size - fh.tell():
+                raise ModelConfigError(f"{path}: truncated {what}")
+            return fh.read(n)
+
         tensors: dict[str, np.ndarray] = {}
         try:
-            while True:
-                prefix = fh.read(4)
-                if not prefix:
-                    break
-                if len(prefix) != 4:
-                    raise ModelConfigError(f"{path}: truncated tensor record")
-                (name_len,) = struct.unpack("<I", prefix)
-                name = fh.read(name_len).decode("utf-8")
-                (ndim,) = struct.unpack("<I", fh.read(4))
-                shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-                count = int(np.prod(shape)) if shape else 1
-                raw = fh.read(count * 8)
-                if len(raw) != count * 8:
-                    raise ModelConfigError(f"{path}: truncated tensor {name!r}")
+            while fh.tell() < size:
+                (name_len,) = struct.unpack("<I", take(4))
+                name = take(name_len).decode("utf-8")
+                (ndim,) = struct.unpack("<I", take(4))
+                shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
+                raw = take(math.prod(shape) * 8, f"tensor {name!r}")
                 tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         except (struct.error, UnicodeDecodeError, ValueError, MemoryError) as exc:
             raise ModelConfigError(f"{path}: corrupt tensor record: {exc}") from exc

@@ -53,11 +53,13 @@ NIL_OPTION = Entity(id=NIL, canonical_name=NIL, description=NIL_DESCRIPTION, ali
 
 
 class KnowledgeBase:
-    """Entities keyed by id, in insertion order."""
+    """Entities keyed by id, in insertion order; the id ``NIL`` is reserved for the NIL option."""
 
     def __init__(self, entities: Iterable[Entity]):
         self._by_id: dict[str, Entity] = {}
         for ent in entities:
+            if ent.id == NIL:
+                raise InputFormatError(f"entity id {NIL!r} is reserved for the NIL option")
             if ent.id in self._by_id:
                 raise InputFormatError(f"duplicate entity id {ent.id!r}")
             self._by_id[ent.id] = ent
@@ -195,7 +197,11 @@ def _entity(rec: dict) -> Entity:
 
 def load_kb(path: str) -> KnowledgeBase:
     """Read a line-delimited JSON KB file (fields id, name, description, aliases, popularity)."""
-    return KnowledgeBase(read_jsonl(path, "KB", _entity))
+    entities = read_jsonl(path, "KB", _entity)
+    try:
+        return KnowledgeBase(entities)
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:

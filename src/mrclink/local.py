@@ -1,7 +1,7 @@
 """Per-mention disambiguation: multiple-choice option scoring, the two-stage
-NIL verifier, the joint loss, and the local training loop. The model
-container, option encoder, scoring head and checkpoint codec defined here are
-shared with the global pass.
+NIL verifier, the joint loss, and the local training step. The model
+container, training loop (``fit``), option encoder, scoring head and
+checkpoint codec defined here are shared with the global pass.
 
 ``encode_sets`` is the one place where encoder rows are built, padded and
 batched, for the local and the global pass alike. A candidate set gets a
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from itertools import chain
-from typing import ClassVar, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -51,6 +51,8 @@ from .kb import (
 )
 
 CHECKPOINT_FORMAT = "mrclink/1"
+
+GradViews = dict[str, dict[str, np.ndarray]]  # Model.views of a vector: {prefix: {name: view}}
 
 
 @dataclass
@@ -111,9 +113,9 @@ class Model:
         for prefix, group in self.views(self.flat).items():
             setattr(self, self.GROUPS[prefix], group)
 
-    def views(self, vec: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
+    def views(self, vec: np.ndarray) -> GradViews:
         """Split a vector laid out like ``flat`` into ``{prefix: {name: view}}``."""
-        out: dict[str, dict[str, np.ndarray]] = {}
+        out: GradViews = {}
         at = 0
         for prefix, attr in self.GROUPS.items():
             out[prefix] = {}
@@ -142,9 +144,60 @@ class Model:
             raise ValueError(f"non-finite gradient for {bad!r}") from None
 
 
+U = TypeVar("U")
+# a step's loss and its (predicted, gold) label pairs; None when it scored nothing
+StepResult = tuple[float, list[tuple[str, str]]] | None
+
+
+def fit(
+    model: Model, units: Sequence[U], step: Callable[[U, np.ndarray, GradViews], StepResult], *, epochs: int,
+    lr: float, warmup: float, seed: int, stop_accuracy: float | None = None, log_path: str | None = None,
+) -> list[dict]:
+    """The training loop of the local and the global model; returns one
+    record per epoch, also written to ``log_path`` when given.
+
+    Each epoch visits ``units`` in a permutation drawn from a generator
+    seeded with ``seed``. ``step(unit, grads, views)`` writes the unit's
+    gradient into ``grads``, one vector laid out like ``model.flat`` and
+    reused by every step, and returns its loss and label pairs, or None to
+    make no Adam step. Warmup spans ``epochs * len(units)`` steps. A record
+    holds the mean step loss, and the answer accuracy and NIL precision and
+    recall over the epoch's pairs (0.0 where undefined); training stops
+    after an epoch whose accuracy reaches ``stop_accuracy``.
+    """
+    warmup_steps = enc.warmup_steps(warmup, epochs * len(units))
+    adam = enc.AdamState.zeros_like(model.flat)
+    grads = np.empty_like(model.flat)
+    views = model.views(grads)
+    rng = np.random.default_rng(seed)
+    logs: list[dict] = []
+    for epoch in range(epochs):
+        losses, pairs = [], []
+        for i in rng.permutation(len(units)):
+            result = step(units[i], grads, views)
+            if result is not None:
+                model.step(grads, adam, lr, warmup_steps)
+                losses.append(result[0])
+                pairs += result[1]
+        hit = sum(p == g == NIL for p, g in pairs)
+        nil_pred, nil_gold = sum(p == NIL for p, _ in pairs), sum(g == NIL for _, g in pairs)
+        logs.append({
+            "epoch": epoch,
+            "loss": float(np.mean(losses)) if losses else 0.0,
+            "answer_accuracy": sum(p == g for p, g in pairs) / len(pairs) if pairs else 0.0,
+            "nil_precision": hit / nil_pred if nil_pred else 0.0,
+            "nil_recall": hit / nil_gold if nil_gold else 0.0,
+        })
+        if stop_accuracy is not None and logs[-1]["answer_accuracy"] >= stop_accuracy:
+            break
+    if log_path is not None:
+        write_jsonl(log_path, logs)
+    return logs
+
+
 def zeroed_grads(
-    model: Model, out: np.ndarray | None = None, views: dict[str, dict[str, np.ndarray]] | None = None
-) -> tuple[np.ndarray, dict[str, dict[str, np.ndarray]]]:
+    model: Model, out: np.ndarray | None = None, views: GradViews | None = None
+) -> tuple[np.ndarray, GradViews]:
     """A zero gradient vector laid out like ``model.flat``, and its views:
     ``out`` zeroed in place when given (its ``views`` reused when given too),
     else a new vector. Training reuses one vector across steps, so a step
@@ -408,7 +461,7 @@ def local_backward(
     dlogit: float,
     cfg: RunConfig,
     out: np.ndarray | None = None,
-    views: dict[str, dict[str, np.ndarray]] | None = None,
+    views: GradViews | None = None,
 ) -> np.ndarray:
     """Gradient of ``joint_local_loss`` as a vector laid out like
     ``model.flat``: ``dlogits`` is the answer-loss gradient w.r.t. the option
@@ -478,70 +531,30 @@ def train_local(
 
     Gold entities absent from the generated candidates are injected. With the
     verifier disabled, unlinkable mentions are skipped (no defined target).
-    Returns the trained model and per-epoch log records.
+    Training stops after the first epoch whose accuracy reaches
+    ``cfg.stop_accuracy``. Returns the trained model and its ``fit`` records.
     """
     index = build_index(kb)
     vocab = build_vocabulary(corpus, kb)
     econf = EncoderConfig(vocab_size=len(vocab), max_len=cfg.max_len_local, seed=cfg.seed, **asdict(cfg.encoder))
     model = LocalModel.init(econf, vocab, nil_verifier=cfg.nil_verifier)
+    units = [(text, m) for text in corpus for m in text.mentions if cfg.nil_verifier or m.gold != NIL]
 
-    units: list[tuple[AnnotatedText, Mention]] = [
-        (text, m) for text in corpus for m in text.mentions
-    ]
-    if cfg.nil_verifier:
-        train_units = units
-    else:
-        train_units = [(t, m) for t, m in units if m.gold != NIL]
+    def step(unit: tuple[AnnotatedText, Mention], grads: np.ndarray, views: GradViews) -> StepResult:
+        text, mention = unit
+        gold_entity = _resolve_gold(mention, kb)
+        cands, gold_index = training_candidates(index, mention.surface, gold_entity, cfg.k, cfg.nil_verifier)
+        [scores], [tape] = score_options(model, [(cands, build_query(text, mention))])
+        l_ans, dlogits = answer_loss(scores, gold_index)
+        l_nil, dlogit = (0.0, 0.0) if scores.nil is None else nil_loss(scores.nil, gold_entity is not None)
+        local_backward(model, tape, dlogits, dlogit, cfg, out=grads, views=views)
+        predicted, _ = local_predict(scores, cfg.nil_threshold, cfg.nil_override)
+        return joint_local_loss(l_ans, l_nil, cfg), [(predicted, cands.option_ids[gold_index])]
 
-    total_steps = cfg.epochs_local * len(train_units)
-    warmup_steps = enc.warmup_steps(cfg.warmup, total_steps)
-    adam = enc.AdamState.zeros_like(model.flat)
-    grads = np.empty_like(model.flat)
-    grad_views = model.views(grads)
-    rng = np.random.default_rng(cfg.seed)
-    logs: list[dict] = []
-
-    for epoch in range(cfg.epochs_local):
-        order = rng.permutation(len(train_units))
-        losses = []
-        n_correct = 0
-        nil_pred = nil_gold = nil_hit = 0
-        for idx in order:
-            text, mention = train_units[idx]
-            gold_entity = _resolve_gold(mention, kb)
-            linkable = gold_entity is not None
-            cands, gold_index = training_candidates(index, mention.surface, gold_entity, cfg.k, cfg.nil_verifier)
-            query = build_query(text, mention)
-
-            [scores], [tape] = score_options(model, [(cands, query)])
-            l_ans, dlogits = answer_loss(scores, gold_index)
-            l_nil, dlogit = (0.0, 0.0) if scores.nil is None else nil_loss(scores.nil, linkable)
-            local_backward(model, tape, dlogits, dlogit, cfg, out=grads, views=grad_views)
-            losses.append(joint_local_loss(l_ans, l_nil, cfg))
-
-            predicted, _ = local_predict(scores, cfg.nil_threshold, cfg.nil_override)
-            gold_label = NIL if not linkable else gold_entity.id
-            n_correct += predicted == gold_label
-            nil_pred += predicted == NIL
-            nil_gold += gold_label == NIL
-            nil_hit += predicted == NIL and gold_label == NIL
-
-            model.step(grads, adam, cfg.lr_local, warmup_steps)
-
-        accuracy = n_correct / len(train_units) if train_units else 0.0
-        record = {
-            "epoch": epoch,
-            "loss": float(np.mean(losses)) if losses else 0.0,
-            "answer_accuracy": accuracy,
-            "nil_precision": nil_hit / nil_pred if nil_pred else 0.0,
-            "nil_recall": nil_hit / nil_gold if nil_gold else 0.0,
-        }
-        logs.append(record)
-        if cfg.stop_accuracy is not None and accuracy >= cfg.stop_accuracy:
-            break
-
-    if log_path is not None:
-        write_jsonl(log_path, logs)
+    logs = fit(
+        model, units, step, epochs=cfg.epochs_local, lr=cfg.lr_local, warmup=cfg.warmup, seed=cfg.seed,
+        stop_accuracy=cfg.stop_accuracy, log_path=log_path,
+    )
     return model, logs
 
 

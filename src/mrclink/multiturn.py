@@ -16,16 +16,18 @@ from .config import GATE_MODES, RunConfig
 from .corpus import AnnotatedText, Mention, Vocabulary, build_query, update_query
 from .encoder import EncoderConfig, EncoderTape
 from .errors import ModelConfigError
-from .jsonl import write_jsonl
 from .kb import NIL, CandidateSet, Entity, KnowledgeBase, build_index
 from .kb import generate_candidates  # noqa: F401  (the perfbench tracer self-test checks this binding)
 from .local import (
+    GradViews,
     LocalModel,
     MentionLocalResult,
     Model,
+    StepResult,
     _resolve_gold,
     check_vocab,
     encode_sets,
+    fit,
     head_backward,
     head_softmax,
     init_head,
@@ -92,13 +94,19 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GateFusion:
-    """Fused vectors plus the gate diagnostics (None outside gated mode)."""
+    """Fused vectors plus the gate diagnostics (None outside gated mode), and
+    what ``gate_backward`` reads: the mode, the current vectors, the history
+    and the concatenations that entered a weight matrix."""
 
     fused: np.ndarray
     update_gate: np.ndarray | None
     fusion: np.ndarray | None
     keep_gate: np.ndarray | None
-    _cache: dict = field(default_factory=dict, repr=False)
+    mode: str
+    current: np.ndarray = field(repr=False)
+    history: np.ndarray = field(repr=False)
+    cat_vh: np.ndarray = field(repr=False)
+    cat_uh_v: np.ndarray | None = field(default=None, repr=False)
 
 
 def gate_fuse_batch(
@@ -113,27 +121,22 @@ def gate_fuse_batch(
             g = sigmoid(Wc v + Wh h); fused = g*f + (1-g)*h.
     concat: fused = tanh(Wf [v; h]).
     """
+    if mode not in GATE_MODES:
+        raise ValueError(f"unknown gate mode {mode!r}")
     v = np.atleast_2d(np.asarray(current, dtype=np.float64))
     h = np.asarray(history, dtype=np.float64)
     b, d = v.shape
     if h.shape != (d,):
         raise ValueError(f"history must have shape ({d},)")
     hb = np.broadcast_to(h, (b, d))
-    if mode == "gated":
-        cat_vh = np.concatenate([v, hb], axis=1)
-        u = _sigmoid(cat_vh @ gate["update_w"].T)
-        cat_uh_v = np.concatenate([u * hb, v], axis=1)
-        f = np.tanh(cat_uh_v @ gate["fuse_w"].T)
-        g = _sigmoid(v @ gate["keep_cur_w"].T + h @ gate["keep_hist_w"].T)
-        fused = g * f + (1.0 - g) * hb
-        cache = {"v": v, "h": h, "u": u, "f": f, "g": g, "cat_vh": cat_vh, "cat_uh_v": cat_uh_v}
-        return GateFusion(fused=fused, update_gate=u, fusion=f, keep_gate=g, _cache=cache)
+    cat_vh = np.concatenate([v, hb], axis=1)
     if mode == "concat":
-        cat_vh = np.concatenate([v, hb], axis=1)
-        fused = np.tanh(cat_vh @ gate["fuse_w"].T)
-        cache = {"v": v, "h": h, "fused": fused, "cat_vh": cat_vh}
-        return GateFusion(fused=fused, update_gate=None, fusion=None, keep_gate=None, _cache=cache)
-    raise ValueError(f"unknown gate mode {mode!r}")
+        return GateFusion(np.tanh(cat_vh @ gate["fuse_w"].T), None, None, None, mode, v, h, cat_vh)
+    u = _sigmoid(cat_vh @ gate["update_w"].T)
+    cat_uh_v = np.concatenate([u * hb, v], axis=1)
+    f = np.tanh(cat_uh_v @ gate["fuse_w"].T)
+    g = _sigmoid(v @ gate["keep_cur_w"].T + h @ gate["keep_hist_w"].T)
+    return GateFusion(g * f + (1.0 - g) * hb, u, f, g, mode, v, h, cat_vh, cat_uh_v)
 
 
 def gate_backward(
@@ -141,22 +144,19 @@ def gate_backward(
     dfused: np.ndarray,
     gate: Mapping[str, np.ndarray],
     grads: Mapping[str, np.ndarray],
-    mode: str = "gated",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Add the gate-weight gradients of the fused output into ``grads``, and
-    return its gradients w.r.t. the current vectors and the history."""
-    c = fusion._cache
+    return its gradients w.r.t. the current vectors and the history, for the
+    mode the fusion was made in."""
     dfused = np.atleast_2d(np.asarray(dfused, dtype=np.float64))
     d = dfused.shape[1]
-    if mode == "concat":
-        ds = (1.0 - c["fused"] * c["fused"]) * dfused
-        grads["fuse_w"] += ds.T @ c["cat_vh"]
+    if fusion.mode == "concat":
+        ds = (1.0 - fusion.fused * fusion.fused) * dfused
+        grads["fuse_w"] += ds.T @ fusion.cat_vh
         dcat = ds @ gate["fuse_w"]
         return dcat[:, :d], dcat[:, d:].sum(axis=0)
-    if mode != "gated":
-        raise ValueError(f"no backward pass for gate mode {mode!r}")
 
-    v, h, u, f, g = c["v"], c["h"], c["u"], c["f"], c["g"]
+    v, h, u, f, g = fusion.current, fusion.history, fusion.update_gate, fusion.fusion, fusion.keep_gate
     b = v.shape[0]
     hb = np.broadcast_to(h, (b, d))
 
@@ -173,7 +173,7 @@ def gate_backward(
 
     # fusion: f = tanh(Wf [u*h; v])
     dsf = (1.0 - f * f) * df
-    grads["fuse_w"] += dsf.T @ c["cat_uh_v"]
+    grads["fuse_w"] += dsf.T @ fusion.cat_uh_v
     dcat = dsf @ gate["fuse_w"]
     duh = dcat[:, :d]
     dv += dcat[:, d:]
@@ -182,7 +182,7 @@ def gate_backward(
 
     # update gate: u = sigmoid(Wu [v; h])
     dsu = u * (1.0 - u) * du
-    grads["update_w"] += dsu.T @ c["cat_vh"]
+    grads["update_w"] += dsu.T @ fusion.cat_vh
     dcat2 = dsu @ gate["update_w"]
     dv += dcat2[:, :d]
     dh_rows = dh_rows + dcat2[:, d:]
@@ -290,14 +290,14 @@ def global_backward(
     dlogits: np.ndarray,
     scale: float = 1.0,
     out: np.ndarray | None = None,
-    views: dict[str, dict[str, np.ndarray]] | None = None,
+    views: GradViews | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward through head, gate, and encoder: the parameter gradient as a
     vector laid out like ``model.flat``, and the history gradient. ``out``
     and ``views`` work as in ``local_backward``."""
     grads, views = zeroed_grads(model, out, views)
     dfused = head_backward(model.head, tape.gate_fusion.fused, dlogits, scale, views["head"])
-    draw, dhistory = gate_backward(tape.gate_fusion, dfused, model.gate, views["gate"], model.gate_mode)
+    draw, dhistory = gate_backward(tape.gate_fusion, dfused, model.gate, views["gate"])
     enc.backprop_batch(tape.enc_tape, draw, views["enc"])
     return grads, dhistory
 
@@ -409,68 +409,45 @@ def train_global(
     as at link time; the config's ``nil_verifier`` is not read. Each text is
     walked with the gold entity as every turn's pick, then each scored turn
     is backpropagated in turn order; the mean of the per-turn losses makes
-    one Adam step.
+    one Adam step, and a text that scores no turn makes none. Every epoch
+    runs: ``cfg.stop_accuracy`` is read by ``train_local`` only.
     """
     index = build_index(kb)
     model = GlobalModel.from_local(local_model, max_len=cfg.max_len_global, gate_mode=cfg.gate_mode)
-
     with_nil = local_model.nil_verifier
     multi = [t for t in corpus if len(t.mentions) >= 2]
-    orders = [processing_order(run_local_pass(local_model, text, index, cfg), cfg) for text in multi]
-
-    total_steps = cfg.epochs_global * len(multi)
-    warmup_steps = enc.warmup_steps(cfg.warmup, total_steps)
-    adam = enc.AdamState.zeros_like(model.flat)
-    # One text's gradient sum and one turn's gradient, reused across steps.
-    # Each turn is backpropagated into its own zeroed vector and then added
-    # to the sum: backpropagating straight into the sum would round the
-    # ``tok_emb`` rows, which ``backprop_batch`` adds one at a time,
-    # differently on a text with two or more scored turns.
-    text_grads = np.empty_like(model.flat)
+    units = [(t, processing_order(run_local_pass(local_model, t, index, cfg), cfg)) for t in multi]
+    # One turn's gradient, reused across steps. Each turn is backpropagated
+    # into it and then added to the text's sum: backpropagating straight into
+    # the sum would round the ``tok_emb`` rows, which ``backprop_batch`` adds
+    # one at a time, differently on a text with two or more scored turns.
     turn_grads = np.empty_like(model.flat)
     turn_views = model.views(turn_grads)
-    rng = np.random.default_rng(cfg.seed + 7)
-    logs: list[dict] = []
 
-    for epoch in range(cfg.epochs_global):
-        perm = rng.permutation(len(multi))
-        losses: list[float] = []
-        n_scored = n_correct = 0
-        for ti in perm:
-            text, order = multi[ti], orders[ti]
-            golds = [_resolve_gold(m, kb) for m in text.mentions]
-            targets: list[tuple[CandidateSet, int] | None] = [None] * len(golds)
-            for i in order[1:]:
-                targets[i] = training_candidates(index, text.mentions[i].surface, golds[i], cfg.k, with_nil)
-            options = [None if t is None else t[0] for t in targets]
-            walked = walk_turns(model, text, order, options, lambda i, _: golds[i], cfg)
+    def step(unit: tuple[AnnotatedText, tuple[int, ...]], grads: np.ndarray, _: GradViews) -> StepResult:
+        text, order = unit
+        golds = [_resolve_gold(m, kb) for m in text.mentions]
+        targets: list[tuple[CandidateSet, int] | None] = [None] * len(golds)
+        for i in order[1:]:
+            targets[i] = training_candidates(index, text.mentions[i].surface, golds[i], cfg.k, with_nil)
+        options = [None if t is None else t[0] for t in targets]
+        walked = walk_turns(model, text, order, options, lambda i, _: golds[i], cfg)
+        scored = [(walked[i], targets[i][1]) for i in order if walked[i] is not None]
+        if not scored:
+            return None
+        grads.fill(0.0)
+        losses, pairs = [], []
+        for (scores, tape), gold_index in scored:
+            loss, dlogits = global_loss(scores, gold_index)
+            losses.append(loss)
+            global_backward(model, tape, dlogits, out=turn_grads, views=turn_views)
+            grads += turn_grads
+            pairs.append((scores.option_ids[int(np.argmax(scores.probs))], scores.option_ids[gold_index]))
+        grads *= 1.0 / len(losses)
+        return float(np.mean(losses)), pairs
 
-            text_grads.fill(0.0)
-            turn_losses: list[float] = []
-            for i in order:
-                if walked[i] is None:
-                    continue
-                (scores, tape), gold_index = walked[i], targets[i][1]
-                loss, dlogits = global_loss(scores, gold_index)
-                turn_losses.append(loss)
-                global_backward(model, tape, dlogits, out=turn_grads, views=turn_views)
-                text_grads += turn_grads
-                n_scored += 1
-                n_correct += int(np.argmax(scores.probs)) == gold_index
-
-            if not turn_losses:
-                continue
-            text_grads *= 1.0 / len(turn_losses)
-            model.step(text_grads, adam, cfg.lr_global, warmup_steps)
-            losses.append(float(np.mean(turn_losses)))
-
-        record = {
-            "epoch": epoch,
-            "loss": float(np.mean(losses)) if losses else 0.0,
-            "answer_accuracy": n_correct / n_scored if n_scored else 0.0,
-        }
-        logs.append(record)
-
-    if log_path is not None:
-        write_jsonl(log_path, logs)
+    logs = fit(
+        model, units, step, epochs=cfg.epochs_global, lr=cfg.lr_global, warmup=cfg.warmup, seed=cfg.seed + 7,
+        log_path=log_path,
+    )
     return model, logs

@@ -1,4 +1,5 @@
 """Checkpoint codec: round trip and rejection of files that do not match their model."""
+import struct
 import time
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 from mrclink import encoder as enc
 from mrclink.cli import main
 from mrclink.encoder import EncoderConfig
-from mrclink.errors import ModelConfigError
+from mrclink.errors import InputFormatError, ModelConfigError
 from mrclink.kb import Entity, KnowledgeBase, save_kb
 from mrclink.corpus import AnnotatedText, Mention, save_corpus
 from mrclink.local import LocalModel, build_vocabulary, load_model, save_model
@@ -188,3 +189,49 @@ def test_wide_header_with_narrow_blocks_rejected_before_allocating(kind, tmp_pat
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def _mutate(data: bytes, rng: np.random.Generator) -> bytes:
+    """A truncation, 1-4 flipped bits or a random 8-byte overwrite of ``data``."""
+    how = rng.integers(3)
+    if how == 0:
+        return data[: rng.integers(len(data))]
+    buf = bytearray(data)
+    if how == 1:
+        for bit in rng.integers(len(buf) * 8, size=rng.integers(1, 5)):
+            buf[bit // 8] ^= 1 << (bit % 8)
+    else:
+        at = rng.integers(len(buf) - 8)
+        buf[at : at + 8] = rng.bytes(8)
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_fuzzed_checkpoint_loads_or_raises_a_documented_error(kind, tmp_path):
+    path, _, _ = saved(kind, tmp_path)
+    data = path.read_bytes()
+    rng = np.random.default_rng(2024)
+    for trial in range(400):
+        path.write_bytes(_mutate(data, rng))
+        try:
+            load_model(str(path), KINDS[kind])
+        except (ModelConfigError, InputFormatError):
+            pass
+
+
+def test_link_rejects_a_tensor_dimension_too_large_to_read(tmp_path, capsys):
+    # bit 5 of the top byte of enc.tok_emb's first dimension: 2**61 rows more
+    path, _, _ = saved("local", tmp_path)
+    data = bytearray(path.read_bytes())
+    name = b"enc.tok_emb"
+    first_dim = data.index(struct.pack("<I", len(name)) + name) + 4 + len(name) + 4
+    data[first_dim + 7] ^= 1 << 5
+    path.write_bytes(bytes(data))
+    save_kb(KB, str(tmp_path / "kb.jsonl"))
+    save_corpus(CORPUS, str(tmp_path / "corpus.jsonl"))
+    rc = main([
+        "link", "--kb", str(tmp_path / "kb.jsonl"), "--corpus", str(tmp_path / "corpus.jsonl"),
+        "--local-model", str(path), "--out", str(tmp_path / "dec.jsonl"),
+    ])
+    assert rc == 3
+    assert "truncated tensor 'enc.tok_emb'" in capsys.readouterr().err

@@ -214,6 +214,8 @@ BAD_INPUTS = {
     "kb_not_utf8": ("--kb", b'{"id": "e1", "name": "\xff"}\n'),
     "kb_popularity_1e400": ("--kb", b'{"id": "e1", "name": "n", "popularity": 1e400}\n'),
     "kb_aliases_string": ("--kb", b'{"id": "e1", "name": "n", "aliases": "xyz"}\n'),
+    "kb_reserved_nil_id": ("--kb", b'{"id": "NIL", "name": "n"}\n'),
+    "kb_duplicate_id": ("--kb", b'{"id": "e1", "name": "n"}\n{"id": "e1", "name": "m"}\n'),
     "corpus_not_utf8": ("--corpus", b'{"text": "\xe9t\xe9", "mentions": []}\n'),
     "corpus_array_line": ("--corpus", b'{"text": "ok", "mentions": []}\n[1, 2]\n'),
     "corpus_start_1e400": ("--corpus", b'{"text": "ab", "mentions": [{"start": 1e400, "end": 2, "surface": "ab"}]}'),
@@ -232,6 +234,9 @@ BAD_CONFIGS = [
     {"nil_verifier": "no"},
     {"epochs_local": -1},
     {"lr_local": 10**400},
+    {"nil_threshold": 5},
+    {"warmup": -0.5},
+    {"lr_global": -1e-5},
 ]
 for i, bad in enumerate(BAD_CONFIGS):
     BAD_INPUTS[f"config{i}"] = ("--config", json.dumps(CFG | bad).encode("utf-8"))

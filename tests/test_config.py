@@ -60,6 +60,12 @@ def test_invalid_values_rejected():
     assert RunConfig(alpha2=0.0).alpha2 == 0.0
 
 
+def test_range_ends_of_threshold_warmup_and_rates_are_valid():
+    for name in ("nil_threshold", "warmup"):
+        assert getattr(RunConfig(**{name: 0.0}), name) == 0.0 and getattr(RunConfig(**{name: 1}), name) == 1
+    assert RunConfig(lr_local=0.0, lr_global=0).lr_global == 0
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -79,6 +85,12 @@ def test_invalid_values_rejected():
         {"epochs_local": -1},
         {"lr_local": 10**400},
         {"stop_accuracy": -(10**400)},
+        {"nil_threshold": 5},
+        {"nil_threshold": -1},
+        {"warmup": 3},
+        {"warmup": -0.5},
+        {"lr_local": -1e-3},
+        {"lr_global": -1e-5},
     ],
     ids=repr,
 )

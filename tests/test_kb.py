@@ -100,6 +100,12 @@ class TestBuildIndex:
         with pytest.raises(InputFormatError):
             make_kb([("e1", "a", ["a"], 1), ("e1", "b", ["b"], 2)])
 
+    @pytest.mark.parametrize("entities", [[(NIL, "a", ["a"], 1)], [("e1", "a", ["a"], 1), (NIL, "nil", ["nil"], 0)]])
+    def test_reserved_nil_id_rejected(self, entities):
+        # an entity named NIL would collide with the NIL option of every candidate set
+        with pytest.raises(InputFormatError, match="reserved"):
+            make_kb(entities)
+
     def test_random_kb_matches_brute_force(self):
         rng = np.random.default_rng(11)
         kb, surfaces = _random_kb(rng, n_entities=500)

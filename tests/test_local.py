@@ -1,4 +1,5 @@
 """Option scoring, NIL verifier, joint loss, and local training tests."""
+import json
 import math
 from dataclasses import replace
 from unittest import mock
@@ -33,7 +34,7 @@ from mrclink.local import (
 from mrclink import encoder as enc
 from mrclink.corpus import AnnotatedText, Mention, assemble_query_sequence, build_query, tokenize
 from mrclink.encoder import softmax
-from mrclink.multiturn import GlobalModel
+from mrclink.multiturn import GlobalModel, train_global
 
 
 def tiny_world():
@@ -568,13 +569,20 @@ class TestTrainLocal:
         for k, v in model.parameters().items():
             assert back.parameters()[k].tobytes() == v.tobytes()
 
-    def test_training_log_schema(self, tmp_path):
+    @pytest.mark.parametrize("training", ["local", "global"])
+    def test_training_log_schema(self, training, tmp_path):
+        # both trainings write the one ``fit`` record, one line per epoch
         kb, corpus = tiny_world()
+        corpus.append(AnnotatedText("alpha meets beta", (Mention(0, 5, "alpha", "e1"), Mention(12, 16, "beta", NIL))))
+        cfg = small_cfg(epochs_local=2, epochs_global=2)
         log_path = tmp_path / "train.log"
-        _, logs = train_local(corpus, kb, small_cfg(epochs_local=2), log_path=str(log_path))
+        if training == "local":
+            _, logs = train_local(corpus, kb, cfg, log_path=str(log_path))
+        else:
+            _, logs = train_global(corpus, kb, train_local(corpus, kb, cfg)[0], cfg, log_path=str(log_path))
         lines = log_path.read_text().strip().splitlines()
         assert len(lines) == len(logs) == 2
-        import json
-
-        rec = json.loads(lines[0])
-        assert set(rec) == {"epoch", "loss", "answer_accuracy", "nil_precision", "nil_recall"}
+        assert [json.loads(line) for line in lines] == logs
+        for rec in logs:
+            assert set(rec) == {"epoch", "loss", "answer_accuracy", "nil_precision", "nil_recall"}
+            assert all(0.0 <= rec[k] <= 1.0 for k in ("answer_accuracy", "nil_precision", "nil_recall"))

@@ -25,6 +25,7 @@ from mrclink.multiturn import (
     run_multi_turn,
     train_global,
 )
+from mrclink import multiturn
 from mrclink.local import load_model, save_model
 from mrclink.pipeline import link_text
 
@@ -181,7 +182,7 @@ class TestGateFuse:
 
         w = rng.normal(size=(3, d))
         grads = zero_gate(d)
-        dv, dh = gate_backward(out, w, gate, grads, mode="concat")
+        dv, dh = gate_backward(out, w, gate, grads)
         step = 1e-6
 
         def loss():
@@ -494,6 +495,55 @@ class TestTrainGlobal:
         default, _ = train_global(corpus, kb, local, cfg)
         told_off, _ = train_global(corpus, kb, local, replace(cfg, nil_verifier=False))
         assert told_off.flat.tobytes() == default.flat.tobytes()
+
+    def test_stop_accuracy_is_not_read(self):
+        # early stopping belongs to train_local; every global epoch runs
+        kb, corpus = multi_world()
+        cfg, local, _ = make_models(kb, corpus, epochs_global=3)
+        model, logs = train_global(corpus, kb, local, cfg)
+        stopped, stopped_logs = train_global(corpus, kb, local, replace(cfg, stop_accuracy=0.0))
+        assert [rec["epoch"] for rec in stopped_logs] == [0, 1, 2]
+        assert stopped_logs == logs and stopped.flat.tobytes() == model.flat.tobytes()
+
+    def test_texts_that_score_no_turn_change_no_bit(self):
+        # without the verifier an unlinkable mention after the first turn has
+        # no target, so these texts make no Adam step
+        kb, _ = multi_world()
+        corpus = [
+            AnnotatedText("alpha meets zeta here", (Mention(0, 5, "alpha", "e1"), Mention(12, 16, "zeta", NIL))),
+            AnnotatedText("zeta meets beta here", (Mention(0, 4, "zeta", NIL), Mention(11, 15, "beta", NIL))),
+        ]
+        cfg, local, _ = make_models(kb, corpus, nil_verifier=False, epochs_global=2)
+        trained, logs = train_global(corpus, kb, local, cfg)
+        assert trained.flat.tobytes() == GlobalModel.from_local(local, max_len=cfg.max_len_global).flat.tobytes()
+        empty = {"loss": 0.0, "answer_accuracy": 0.0, "nil_precision": 0.0, "nil_recall": 0.0}
+        assert logs == [{"epoch": 0, **empty}, {"epoch": 1, **empty}]
+
+    def test_nil_ratios_match_a_brute_force_count(self, monkeypatch):
+        kb, corpus = multi_world()
+        corpus += [
+            AnnotatedText("alpha sings beta tune", (Mention(0, 5, "alpha", NIL), Mention(12, 16, "beta", "e3"))),
+            AnnotatedText("beta meets alpha there", (Mention(0, 4, "beta", NIL), Mention(11, 16, "alpha", NIL))),
+            AnnotatedText(
+                "gamma and alpha and beta",
+                (Mention(0, 5, "gamma", NIL), Mention(10, 15, "alpha", "e2"), Mention(20, 24, "beta", NIL)),
+            ),
+        ]
+        cfg, local, _ = make_models(kb, corpus, seed=2)
+        assert local.nil_verifier
+        seen = []
+
+        def spy(scores, gold_index):
+            seen.append((scores.option_ids[int(np.argmax(scores.probs))], scores.option_ids[gold_index]))
+            return global_loss(scores, gold_index)
+
+        monkeypatch.setattr(multiturn, "global_loss", spy)
+        _, [rec] = train_global(corpus, kb, local, cfg)
+        hit = sum(p == NIL and g == NIL for p, g in seen)
+        predicted, gold = sum(p == NIL for p, _ in seen), sum(g == NIL for _, g in seen)
+        assert 0 < hit < predicted and hit < gold
+        assert rec["nil_precision"] == hit / predicted and rec["nil_recall"] == hit / gold
+        assert rec["answer_accuracy"] == sum(p == g for p, g in seen) / len(seen)
 
     def test_checkpoint_round_trip(self, tmp_path):
         kb, corpus = multi_world()
