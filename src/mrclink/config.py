@@ -78,8 +78,9 @@ class RunConfig:
             raise InputFormatError("k must be >= 1")
         if self.alpha1 < 0 or self.alpha2 < 0 or self.alpha1 + self.alpha2 <= 0:
             raise InputFormatError("loss weights must be non-negative with a positive sum")
-        for name in ("beta", "nil_threshold", "warmup"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
+        for name in ("beta", "nil_threshold", "warmup", "stop_accuracy"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
                 raise InputFormatError(f"{name} must be in [0, 1]")
         if self.gate_mode not in GATE_MODES:
             raise InputFormatError(f"gate_mode must be one of {GATE_MODES}")

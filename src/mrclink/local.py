@@ -161,8 +161,8 @@ def fit(
     gradient into ``grads``, one vector laid out like ``model.flat`` and
     reused by every step, and returns its loss and label pairs, or None to
     make no Adam step. Warmup spans ``epochs * len(units)`` steps. A record
-    holds the mean step loss, and the answer accuracy and NIL precision and
-    recall over the epoch's pairs (0.0 where undefined); training stops
+    holds the mean step loss, and the ``label_scores`` answer accuracy and
+    NIL precision and recall of the epoch's pairs; training stops
     after an epoch whose accuracy reaches ``stop_accuracy``.
     """
     warmup_steps = enc.warmup_steps(warmup, epochs * len(units))
@@ -179,20 +179,37 @@ def fit(
                 model.step(grads, adam, lr, warmup_steps)
                 losses.append(result[0])
                 pairs += result[1]
-        hit = sum(p == g == NIL for p, g in pairs)
-        nil_pred, nil_gold = sum(p == NIL for p, _ in pairs), sum(g == NIL for _, g in pairs)
+        scores = label_scores(pairs)
         logs.append({
             "epoch": epoch,
             "loss": float(np.mean(losses)) if losses else 0.0,
-            "answer_accuracy": sum(p == g for p, g in pairs) / len(pairs) if pairs else 0.0,
-            "nil_precision": hit / nil_pred if nil_pred else 0.0,
-            "nil_recall": hit / nil_gold if nil_gold else 0.0,
+            "answer_accuracy": scores["accuracy"],
+            "nil_precision": scores["nil_precision"],
+            "nil_recall": scores["nil_recall"],
         })
         if stop_accuracy is not None and logs[-1]["answer_accuracy"] >= stop_accuracy:
             break
     if log_path is not None:
         write_jsonl(log_path, logs)
     return logs
+
+
+def label_scores(pairs: Sequence[tuple[str, str]]) -> dict:
+    """Accuracy, NIL precision and NIL recall of (predicted, gold) label pairs,
+    each 0.0 where undefined, whether each NIL ratio is defined, and the
+    counts of pairs and of correct ones: the one definition of the ratios of
+    the training logs and the eval report."""
+    n_correct, hit = sum(p == g for p, g in pairs), sum(p == g == NIL for p, g in pairs)
+    nil_pred, nil_gold = sum(p == NIL for p, _ in pairs), sum(g == NIL for _, g in pairs)
+    return {
+        "accuracy": n_correct / len(pairs) if pairs else 0.0,
+        "nil_precision": hit / nil_pred if nil_pred else 0.0,
+        "nil_recall": hit / nil_gold if nil_gold else 0.0,
+        "nil_precision_defined": nil_pred > 0,
+        "nil_recall_defined": nil_gold > 0,
+        "n_mentions": len(pairs),
+        "n_correct": n_correct,
+    }
 
 
 def zeroed_grads(
@@ -395,6 +412,14 @@ class MentionLocalResult:
     scores: LocalScores
     selected: str
     overridden: bool
+
+    def decide(self, probs: np.ndarray | None) -> str:
+        """The mention's link: the local decision when ``probs`` is None or
+        the verifier overrode the mention, else the option that ``probs``
+        (over ``candidates``) ranks first."""
+        if probs is None or self.overridden:
+            return self.selected
+        return self.candidates.option_ids[int(np.argmax(probs))]
 
 
 def run_local_pass(

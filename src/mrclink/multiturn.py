@@ -318,14 +318,15 @@ def walk_turns(
     this loop.
 
     ``pick(i, scores)`` returns the entity mention ``i`` links to, or None for
-    NIL. On the first turn ``scores`` is None, and the picked entity's option
-    vector under the mention's plain query seeds the history. A later turn
-    whose ``options[i]`` is None or empty is NIL and not scored; otherwise its
-    options are scored against the history and the query rewritten with the
-    earlier links (the plain query under ``no_query_update``), and a link
-    makes the picked option's fused vector (``history_mode`` flow) or raw
-    vector (last) the history. A NIL turn leaves the history unchanged and
-    substitutes no name into later queries.
+    NIL. The first turn is never scored and its ``options`` are not read:
+    ``scores`` is None, and the picked entity's option vector under the
+    mention's plain query seeds the history. A later turn whose ``options[i]``
+    is None or empty is NIL and not scored; otherwise its options are scored
+    against the history and the query rewritten with the earlier links (with
+    none under ``no_query_update``), and a link makes the picked option's
+    fused vector (``history_mode`` flow) or raw vector (last) the history. A
+    NIL turn leaves the history unchanged and substitutes no name into later
+    queries.
 
     Returns each mention's global scores and tape, None where it was not scored.
     """
@@ -341,7 +342,7 @@ def walk_turns(
         elif cands is None or not cands.options:
             entity = None
         else:
-            query = build_query(text, mention) if cfg.no_query_update else update_query(text, mention, linked)
+            query = update_query(text, mention, {} if cfg.no_query_update else linked)
             walked[i] = global_score_mention(model, cands, query, history)
             scores = walked[i][0]
             entity = pick(i, scores)
@@ -372,20 +373,14 @@ def run_multi_turn(
 ) -> MultiTurnResult:
     """Process mentions in ``processing_order``, feeding each turn the previous links.
 
-    The first turn keeps its local decision; a later turn selects the argmax
-    of its global probabilities, or NIL when the verifier overrode the
-    mention.
+    Each turn links ``MentionLocalResult.decide`` of its global probabilities;
+    the unscored first turn keeps its local decision.
     """
     order = processing_order(local_results, cfg)
 
     def pick(i: int, scores: GlobalScores | None) -> Entity | None:
         res = local_results[i]
-        if scores is None:
-            selected = res.selected
-        elif res.overridden:
-            selected = NIL
-        else:
-            selected = scores.option_ids[int(np.argmax(scores.probs))]
+        selected = res.decide(None if scores is None else scores.probs)
         return None if selected == NIL else res.candidates.options[res.candidates.index_of(selected)]
 
     walked = walk_turns(model, text, order, [r.candidates for r in local_results], pick, cfg)
@@ -409,8 +404,11 @@ def train_global(
     as at link time; the config's ``nil_verifier`` is not read. Each text is
     walked with the gold entity as every turn's pick, then each scored turn
     is backpropagated in turn order; the mean of the per-turn losses makes
-    one Adam step, and a text that scores no turn makes none. Every epoch
-    runs: ``cfg.stop_accuracy`` is read by ``train_local`` only.
+    one Adam step, and a text that scores no turn makes none. Each turn's
+    history is held fixed (a stop-gradient): ``global_backward``'s history
+    gradient is dropped, so no gradient reaches the turn-0 seed encoding or
+    an earlier turn's fused vector. Every epoch runs: ``cfg.stop_accuracy``
+    is read by ``train_local`` only.
     """
     index = build_index(kb)
     model = GlobalModel.from_local(local_model, max_len=cfg.max_len_global, gate_mode=cfg.gate_mode)
@@ -427,9 +425,7 @@ def train_global(
     def step(unit: tuple[AnnotatedText, tuple[int, ...]], grads: np.ndarray, _: GradViews) -> StepResult:
         text, order = unit
         golds = [_resolve_gold(m, kb) for m in text.mentions]
-        targets: list[tuple[CandidateSet, int] | None] = [None] * len(golds)
-        for i in order[1:]:
-            targets[i] = training_candidates(index, text.mentions[i].surface, golds[i], cfg.k, with_nil)
+        targets = [training_candidates(index, m.surface, g, cfg.k, with_nil) for m, g in zip(text.mentions, golds)]
         options = [None if t is None else t[0] for t in targets]
         walked = walk_turns(model, text, order, options, lambda i, _: golds[i], cfg)
         scored = [(walked[i], targets[i][1]) for i in order if walked[i] is not None]

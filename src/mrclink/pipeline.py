@@ -15,8 +15,8 @@ from .config import RunConfig
 from .corpus import AnnotatedText, Mention
 from .errors import InputFormatError
 from .jsonl import read_jsonl, write_jsonl
-from .kb import NIL, AliasIndex, KnowledgeBase, build_index
-from .local import LocalModel, run_local_pass
+from .kb import AliasIndex, KnowledgeBase, build_index
+from .local import LocalModel, label_scores, run_local_pass
 from .multiturn import GlobalModel, MultiTurnResult, run_multi_turn
 
 
@@ -68,8 +68,9 @@ def link_text(
 ) -> list[LinkDecision]:
     """Run the full pipeline on one text; decisions come back in text order.
 
-    The first processed mention keeps its local decision and has no global or
-    fused scores. Without a global model (or with fewer than two mentions)
+    Each mention's link is ``MentionLocalResult.decide`` of its fused scores.
+    The first processed mention has no global or fused scores and keeps its
+    local decision. Without a global model (or with fewer than two mentions)
     every mention is decided locally.
     """
     local_results = run_local_pass(local_model, text, index, cfg)
@@ -85,15 +86,7 @@ def link_text(
         rank_of = {idx: turn for turn, idx in enumerate(mt.order)}
     for i, res in enumerate(local_results):
         gscores = mt.global_scores[i] if mt is not None else None
-        if gscores is None:
-            fused = None
-            selected = res.selected
-        else:
-            fused = rear_fusion(res.scores.probs, gscores.probs, cfg.beta)
-            if res.overridden:
-                selected = NIL
-            else:
-                selected = res.candidates.option_ids[int(np.argmax(fused))]
+        fused = None if gscores is None else rear_fusion(res.scores.probs, gscores.probs, cfg.beta)
         decisions.append(
             LinkDecision(
                 mention=res.mention,
@@ -101,7 +94,7 @@ def link_text(
                 local_probs=res.scores.probs,
                 global_probs=None if gscores is None else gscores.probs,
                 fused_probs=fused,
-                selected=selected,
+                selected=res.decide(fused),
                 rank=rank_of.get(i, i),
                 nil_prob=res.scores.nil,
             )
@@ -160,41 +153,24 @@ def evaluate(
     """Micro accuracy over mentions plus NIL precision/recall and a per-text-size breakdown.
 
     A mention counts correct iff the selected id equals its gold label (NIL
-    included). Undefined NIL ratios are reported as 0.0 with their flag down.
+    included). The ratios are ``label_scores`` of the (selected, gold) pairs,
+    overall and per text size.
     """
     if len(corpus) != len(decisions):
         raise InputFormatError("decisions do not align with the corpus")
-    n_mentions = n_correct = 0
-    nil_pred = nil_gold = nil_hit = 0
-    per_count: dict[int, list[int]] = {}
+    per_count: dict[int, list[tuple[str, str]]] = {}  # mentions per text -> (selected, gold) pairs
     for i, (text, decs) in enumerate(zip(corpus, decisions)):
         if len(text.mentions) != len(decs):
             raise InputFormatError(f"text {i}: {len(decs)} decisions for {len(text.mentions)} mentions")
-        if not text.mentions:
-            continue
-        bucket = per_count.setdefault(len(text.mentions), [0, 0])
         for mention, dec in zip(text.mentions, decs):
             if mention.gold is None:
                 raise InputFormatError(f"mention {mention.surface!r} has no gold label")
             if dec.mention.span != mention.span:
                 raise InputFormatError("decision span does not match the corpus mention")
-            n_mentions += 1
-            ok = dec.selected == mention.gold
-            n_correct += ok
-            bucket[0] += ok
-            bucket[1] += 1
-            nil_pred += dec.selected == NIL
-            nil_gold += mention.gold == NIL
-            nil_hit += dec.selected == NIL and mention.gold == NIL
+            per_count.setdefault(len(text.mentions), []).append((dec.selected, mention.gold))
     return EvalReport(
-        accuracy=n_correct / n_mentions if n_mentions else 0.0,
-        nil_precision=nil_hit / nil_pred if nil_pred else 0.0,
-        nil_recall=nil_hit / nil_gold if nil_gold else 0.0,
-        nil_precision_defined=nil_pred > 0,
-        nil_recall_defined=nil_gold > 0,
-        by_mention_count={k: c / t for k, (c, t) in sorted(per_count.items())},
-        n_mentions=n_mentions,
-        n_correct=n_correct,
+        **label_scores([pair for pairs in per_count.values() for pair in pairs]),
+        by_mention_count={k: label_scores(pairs)["accuracy"] for k, pairs in sorted(per_count.items())},
     )
 
 

@@ -151,15 +151,13 @@ def generate_synthetic_world(spec: SynthSpec) -> SynthWorld:
 
     # Anchor canonical names spell cluster vocabulary but not the surface, so a
     # query update replaces a (possibly unseen) surface with trained cluster tokens.
+    # Each topic gets ``anchors_per_topic`` anchors; the leftover entities
+    # become anchors too, dealt round the topics.
     anchors: dict[str, list[Entity]] = {t: [] for t in topics}
-    for t in topics:
-        for j in range(spec.anchors_per_topic):
-            canonical = f"{t} {topic_ctx[t][j % len(topic_ctx[t])]}"
-            anchors[t].append(add_entity(wm.word(3), t, canonical=canonical))
-    for i in range(n_extra):
-        t = topics[i % spec.n_topics]
-        canonical = f"{t} {topic_ctx[t][i % len(topic_ctx[t])]}"
-        anchors[t].append(add_entity(wm.word(3), t, canonical=canonical))
+    slots = [(t, j) for t in topics for j in range(spec.anchors_per_topic)]
+    slots += [(topics[i % spec.n_topics], i) for i in range(n_extra)]
+    for t, j in slots:
+        anchors[t].append(add_entity(wm.word(3), t, canonical=f"{t} {topic_ctx[t][j % len(topic_ctx[t])]}"))
 
     # Test planted texts only use anchor surfaces unseen in training.
     train_anchors = {t: lst[: max(1, len(lst) // 2)] for t, lst in anchors.items()}
@@ -188,25 +186,14 @@ def generate_synthetic_world(spec: SynthSpec) -> SynthWorld:
             pair_queue = [all_pairs[i] for i in rng.permutation(len(all_pairs))]
         return pair_queue.pop()
 
-    def make_cue_text() -> AnnotatedText:
-        surface, topic = next_pair()
-        gold = amb_entities[surface][topic]
-        cues = [topic] + topic_ctx[topic]
-        c1 = pick(cues)
-        c2 = pick([c for c in cues if c != c1])
+    def make_context_text(surface: str, gold: str, context: list[str]) -> AnnotatedText:
+        """A cue or NIL text: the mention, a verb, then two distinct
+        ``context`` words and noise in shuffled order."""
+        c1 = pick(context)
+        c2 = pick([c for c in context if c != c1])
         tail = [c1, c2] + noise_words(1, 2)
         tail = [tail[i] for i in rng.permutation(len(tail))]
-        words = [(surface, gold.id), (pick(verbs), None)] + [(w, None) for w in tail]
-        return _make_text(words)
-
-    def make_nil_text() -> AnnotatedText:
-        surface = pick(amb_surfaces)
-        c1 = pick(nil_ctx)
-        c2 = pick([c for c in nil_ctx if c != c1])
-        tail = [c1, c2] + noise_words(1, 2)
-        tail = [tail[i] for i in rng.permutation(len(tail))]
-        words = [(surface, NIL), (pick(verbs), None)] + [(w, None) for w in tail]
-        return _make_text(words)
+        return _make_text([(surface, gold), (pick(verbs), None)] + [(w, None) for w in tail])
 
     def make_planted_text(anchor_pool: dict[str, list[Entity]]) -> AnnotatedText:
         topic = pick([t for t in topics if amb_by_topic[t]])
@@ -231,9 +218,10 @@ def generate_synthetic_world(spec: SynthSpec) -> SynthWorld:
             if kind == "planted":
                 texts.append(make_planted_text(anchor_pool))
             elif kind == "cue":
-                texts.append(make_cue_text())
+                surface, topic = next_pair()
+                texts.append(make_context_text(surface, amb_entities[surface][topic].id, [topic] + topic_ctx[topic]))
             else:
-                texts.append(make_nil_text())
+                texts.append(make_context_text(pick(amb_surfaces), NIL, nil_ctx))
         return texts, kinds
 
     train, train_kinds = make_corpus(spec.n_train_texts, train_anchors)

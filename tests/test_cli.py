@@ -237,6 +237,7 @@ BAD_CONFIGS = [
     {"nil_threshold": 5},
     {"warmup": -0.5},
     {"lr_global": -1e-5},
+    {"stop_accuracy": -1},
 ]
 for i, bad in enumerate(BAD_CONFIGS):
     BAD_INPUTS[f"config{i}"] = ("--config", json.dumps(CFG | bad).encode("utf-8"))

@@ -91,6 +91,9 @@ def test_range_ends_of_threshold_warmup_and_rates_are_valid():
         {"warmup": -0.5},
         {"lr_local": -1e-3},
         {"lr_global": -1e-5},
+        {"stop_accuracy": 5},
+        {"stop_accuracy": -1},
+        {"stop_accuracy": 1.5},
     ],
     ids=repr,
 )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mrclink.config import EncoderSettings, RunConfig
-from mrclink.corpus import AnnotatedText, Mention, update_query
+from mrclink.corpus import AnnotatedText, Mention, build_query, update_query
 from mrclink.encoder import AdamState, EncoderConfig, softmax
 from mrclink.errors import InputFormatError
 from mrclink.kb import NIL, CandidateSet, Entity, KnowledgeBase, build_index, generate_candidates
@@ -433,6 +433,25 @@ class TestRunMultiTurn:
         alone, _ = global_score_mention(glob, res[second].candidates, query, np.zeros(glob.config.d))
         assert mt.global_scores[second].probs.tobytes() == alone.probs.tobytes()
 
+    def test_overridden_scored_turns_link_nil_and_keep_their_scores(self):
+        # nil_threshold 1.0 lets the verifier override every mention, so no
+        # turn links: each scored turn reads the plain query and a zero history
+        kb, corpus = multi_world()
+        mentions = (Mention(0, 5, "alpha", "e1"), Mention(12, 16, "beta", "e3"), Mention(22, 27, "gamma", "e4"))
+        text = AnnotatedText("alpha meets beta near gamma", mentions)
+        cfg, local, glob = make_models(kb, corpus + [text], seed=1, nil_threshold=1.0)
+        index = build_index(kb)
+        decisions = link_text(text, index, local, glob, cfg)
+        assert [d.selected for d in decisions] == [NIL] * 3
+        later = [(m, d) for m, d in zip(mentions, decisions) if d.rank > 0]
+        assert len(later) == 2
+        for mention, dec in later:
+            assert dec.global_probs is not None and dec.fused_probs is not None
+            assert dec.candidate_ids[int(np.argmax(dec.fused_probs))] != NIL  # the override decides, not the argmax
+            cands = generate_candidates(index, mention.surface, cfg.k, with_nil=True)
+            alone, _ = global_score_mention(glob, cands, build_query(text, mention), np.zeros(glob.config.d))
+            assert dec.global_probs.tobytes() == alone.probs.tobytes()
+
     @pytest.mark.parametrize("no_rerank", [False, True])
     def test_one_entity_set_goes_first_without_the_verifier(self, no_rerank):
         # without the NIL option a one-entity set has probability 1 and spread
@@ -544,6 +563,67 @@ class TestTrainGlobal:
         assert 0 < hit < predicted and hit < gold
         assert rec["nil_precision"] == hit / predicted and rec["nil_recall"] == hit / gold
         assert rec["answer_accuracy"] == sum(p == g for p, g in seen) / len(seen)
+
+    def test_history_is_a_stop_gradient(self, monkeypatch):
+        # the one Adam step's gradient is that of the mean turn loss with each
+        # turn's query and history held fixed; no gradient reaches the turn-0
+        # seed encoding or an earlier turn's fused vector
+        kb, _ = multi_world()
+        text = AnnotatedText(
+            "alpha meets beta near gamma",
+            (Mention(0, 5, "alpha", "e1"), Mention(12, 16, "beta", "e3"), Mention(22, 27, "gamma", "e4")),
+        )
+        cfg, local, _ = make_models(kb, [text], d=4, seed=3, gate_mode="gated", history_mode="flow")
+        walks, turns, steps = [], [], []
+        walk, score = multiturn.walk_turns, multiturn.global_score_mention
+
+        def scored(model, cands, query, history):
+            out = score(model, cands, query, history)
+            turns.append((cands, query, out[1].gate_fusion.history.copy()))
+            return out
+
+        monkeypatch.setattr(multiturn, "walk_turns", lambda *args: walks.append(args) or walk(*args))
+        monkeypatch.setattr(multiturn, "global_score_mention", scored)
+        monkeypatch.setattr(GlobalModel, "step", lambda self, grads, *_: steps.append(grads.copy()))
+        model, [rec] = train_global([text], kb, local, cfg)
+        [grads], fixed = steps, list(turns)
+        assert len(fixed) == 2 and all(history.any() for _, _, history in fixed)
+        gold = {m.surface: m.gold for m in text.mentions}
+
+        def fixed_loss():
+            return np.mean([
+                global_loss(score(model, cands, query, history)[0], cands.index_of(gold[cands.surface]))[0]
+                for cands, query, history in fixed
+            ])
+
+        def live_loss():
+            walked = walk(*walks[0])
+            return np.mean([global_loss(w[0], w[0].option_ids.index(gold[m.surface]))[0]
+                            for m, w in zip(text.mentions, walked) if w is not None])
+
+        def central_difference(loss, i, h=1e-5):
+            orig = model.flat[i]
+            model.flat[i] = orig + h
+            up = loss()
+            model.flat[i] = orig - h
+            down = loss()
+            model.flat[i] = orig
+            return (up - down) / (2 * h)
+
+        def close(fd, analytic):
+            return abs(fd - analytic) <= 1e-8 + 1e-4 * max(abs(fd), abs(analytic))
+
+        assert rec["loss"] == pytest.approx(fixed_loss(), rel=1e-12)
+        rng = np.random.default_rng(0)
+        moved = []
+        for prefix, group in model.views(np.arange(model.flat.size)).items():
+            coords = np.concatenate([v.ravel() for v in group.values()])
+            coords = coords[grads[coords] != 0]
+            for i in rng.choice(coords, size=min(len(coords), 16), replace=False):
+                assert close(central_difference(fixed_loss, i), grads[i]), (prefix, i)
+                if prefix != "head" and not close(central_difference(live_loss, i), grads[i]):
+                    moved.append((prefix, i))
+        assert {prefix for prefix, _ in moved} == {"enc", "gate"}
 
     def test_checkpoint_round_trip(self, tmp_path):
         kb, corpus = multi_world()

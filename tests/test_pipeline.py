@@ -1,4 +1,6 @@
 """Rear fusion, end-to-end linking, evaluation, and synthetic world tests."""
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from mrclink.pipeline import (
     save_decisions,
 )
 from mrclink.synth import SynthSpec, generate_synthetic_world
+from test_checkpoint import _mutate
 
 
 class TestRearFusion:
@@ -288,6 +291,31 @@ class TestDecisionsIO:
         path.write_text('{"text": 0, "span": [0, 3], "selected": "e1"}\n', encoding="utf-8")
         with pytest.raises(InputFormatError):
             load_decisions(str(path), corpus)
+
+    def test_fuzzed_decisions_load_and_evaluate_or_raise_input_errors(self, tmp_path):
+        kb, corpus, cfg, local, glob = pipeline_world()
+        path = tmp_path / "decisions.jsonl"
+        save_decisions(link_corpus(corpus, kb, local, glob, cfg)[0], str(path))
+        data = path.read_bytes()
+        rng = np.random.default_rng(7)
+        payloads = [_mutate(data, rng) for _ in range(400)]
+        # every field of every record swapped for a value of each other JSON type
+        records = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+        kind_of = {type(None): "null", bool: "bool", int: "number", float: "number", str: "string", list: "array"}
+        samples = {"null": None, "bool": True, "number": 3, "string": "x", "array": [0, 1], "object": {"a": 1}}
+        for at, rec in enumerate(records):
+            for key, value in rec.items():
+                for kind, sample in samples.items():
+                    if kind != kind_of[type(value)]:
+                        swapped = records[:at] + [rec | {key: sample}] + records[at + 1 :]
+                        payloads.append("".join(json.dumps(r) + "\n" for r in swapped).encode("utf-8"))
+        assert len(payloads) == 400 + 5 * sum(map(len, records))
+        for payload in payloads:
+            path.write_bytes(payload)
+            try:
+                evaluate(corpus, load_decisions(str(path), corpus))
+            except InputFormatError:
+                pass
 
 
 class TestSyntheticWorld:
