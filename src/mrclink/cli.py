@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 input-format error or a path that cannot be opened,
-3 model/config mismatch. ``link`` writes the decisions of every text that
-links and exits 2 if any text raised an input-format error.
+Exit codes: 0 success; 2 an input-format error, a path that cannot be opened
+or a config too large to allocate; 3 model/config mismatch. ``link`` writes the
+decisions of every text that links and exits 2 if any text raised an input-format error.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import sys
 
 from .config import RunConfig
 from .errors import InputFormatError, ModelConfigError
-from .kb import build_index, load_kb, save_kb
+from .kb import load_kb, save_kb
 from .corpus import load_corpus, save_corpus
 from .local import LocalModel, load_model, save_model, train_local
 from .multiturn import GlobalModel, train_global
@@ -45,17 +45,6 @@ def _cmd_gen_synth(args: argparse.Namespace) -> int:
         f"wrote {len(world.kb)} entities, {len(world.train)} train texts, "
         f"{len(world.test)} test texts"
     )
-    return 0
-
-
-def _cmd_build_index(args: argparse.Namespace) -> int:
-    kb = load_kb(args.kb)
-    index = build_index(kb)
-    table = {alias: index.lookup(alias) for alias in sorted(index.aliases())}
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(table, fh, ensure_ascii=False, indent=0, sort_keys=True)
-        fh.write("\n")
-    print(f"indexed {len(index)} aliases")
     return 0
 
 
@@ -119,11 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-out", required=True)
     p.set_defaults(func=_cmd_gen_synth)
 
-    p = sub.add_parser("build-index", help="build the alias index from a KB file")
-    p.add_argument("--kb", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_build_index)
-
     p = sub.add_parser("train-local", help="train the per-mention model")
     p.add_argument("--kb", required=True)
     p.add_argument("--corpus", required=True)
@@ -164,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
+    except (InputFormatError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (ModelConfigError, OSError) as exc:

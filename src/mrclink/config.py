@@ -2,23 +2,15 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Mapping
 
 from .encoder import EncoderConfig
 from .errors import InputFormatError
+from .jsonl import finite
 
 GATE_MODES = ("gated", "concat")
 HISTORY_MODES = ("flow", "last")
-
-
-def _finite(value: float) -> bool:
-    """``math.isfinite``, and False for an int too large for a float."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 @dataclass
@@ -69,7 +61,7 @@ class RunConfig:
                 if (
                     isinstance(value, bool) != isinstance(default, bool)
                     or not isinstance(value, want)
-                    or (want == (int, float) and not _finite(value))
+                    or (want == (int, float) and not finite(value))
                 ):
                     kind = want.__name__ if want != (int, float) else "a finite number"
                     kind = "null or " + kind if default is None else kind
@@ -94,9 +86,6 @@ class RunConfig:
             EncoderConfig(vocab_size=1, max_len=self.max_len_local, seed=self.seed, **asdict(self.encoder))
         except ValueError as exc:
             raise InputFormatError(f"bad encoder config: {exc}") from exc
-
-    def to_dict(self) -> dict:
-        return {("K" if k == "k" else k): v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
@@ -127,8 +116,3 @@ class RunConfig:
         # a UTF-8 or JSON decode error, JSON nested too deeply, or a bad value
         except (ValueError, RecursionError) as exc:
             raise InputFormatError(f"{path}: {exc}") from exc
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputFormatError, SequenceOverflowError
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, typed, write_jsonl
 from .kb import NIL, Entity
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
@@ -73,9 +73,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self._token_to_id)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
 
     def to_dict(self) -> dict[str, int]:
         return dict(self._token_to_id)
@@ -195,14 +192,14 @@ def assemble_query_sequence(query: Sequence[int], max_len: int) -> tuple[int, ..
 def _text(rec: dict) -> AnnotatedText:
     mentions = tuple(
         Mention(
-            start=int(m["start"]),
-            end=int(m["end"]),
-            surface=str(m["surface"]),
-            gold=None if m.get("gold") is None else str(m["gold"]),
+            start=typed(m, "start", int),
+            end=typed(m, "end", int),
+            surface=typed(m, "surface", str),
+            gold=typed(m, "gold", str, None),
         )
-        for m in rec.get("mentions", [])
+        for m in typed(rec, "mentions", dict, [], many=True)
     )
-    return AnnotatedText(text=str(rec["text"]), mentions=mentions)
+    return AnnotatedText(text=typed(rec, "text", str), mentions=mentions)
 
 
 def load_corpus(path: str) -> list[AnnotatedText]:

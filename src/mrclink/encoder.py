@@ -195,7 +195,6 @@ class EncoderTape:
     config: EncoderConfig
     params: Mapping[str, np.ndarray]
     ids: np.ndarray
-    lengths: np.ndarray
     layer_caches: list[dict] = field(default_factory=list)
 
 
@@ -235,7 +234,7 @@ def encode_batch(
     # same IEEE operation as its out-of-place form, so results are unchanged.
     x = params["tok_emb"][ids]
     x += params["pos_emb"][:t]
-    tape = EncoderTape(config=config, params=params, ids=ids, lengths=lengths)
+    tape = EncoderTape(config=config, params=params, ids=ids)
 
     for i in range(config.n_layers):
         p = f"block{i}."

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .errors import InputFormatError
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, typed, write_jsonl
 
 NIL = "NIL"
 NIL_DESCRIPTION = "This is a NIL option"
@@ -92,18 +92,8 @@ class AliasIndex:
     def __init__(self, table: dict[str, tuple[Entity, ...]]):
         self._table = table
 
-    def lookup(self, surface: str) -> list[tuple[str, int]]:
-        """(entity id, popularity) pairs for a raw surface, best candidate first."""
-        return [(e.id, e.popularity) for e in self.lookup_entities(surface)]
-
     def lookup_entities(self, surface: str) -> tuple[Entity, ...]:
         return self._table.get(normalize_surface(surface), ())
-
-    def aliases(self) -> Iterator[str]:
-        return iter(self._table)
-
-    def __len__(self) -> int:
-        return len(self._table)
 
 
 def build_index(kb: KnowledgeBase) -> AliasIndex:
@@ -183,15 +173,12 @@ def prior_baseline(index: AliasIndex, mention_surface: str) -> tuple[str, float]
 
 
 def _entity(rec: dict) -> Entity:
-    aliases = rec.get("aliases", [])
-    if not isinstance(aliases, list):
-        raise TypeError(f"aliases must be a list, got {type(aliases).__name__}")
     return Entity(
-        id=str(rec["id"]),
-        canonical_name=str(rec["name"]),
-        description=str(rec.get("description", "")),
-        aliases=tuple(str(a) for a in aliases),
-        popularity=int(rec.get("popularity", 0)),
+        id=typed(rec, "id", str),
+        canonical_name=typed(rec, "name", str),
+        description=typed(rec, "description", str, ""),
+        aliases=tuple(typed(rec, "aliases", str, [], many=True)),
+        popularity=typed(rec, "popularity", int, 0),
     )
 
 

@@ -57,13 +57,11 @@ GradViews = dict[str, dict[str, np.ndarray]]  # Model.views of a vector: {prefix
 
 @dataclass
 class LocalScores:
-    """Per-option probabilities and pooled vectors for one mention, and the
-    stage-1 verifier's probability that the mention is linkable (None with
-    the verifier off)."""
+    """Per-option probabilities for one mention, and the stage-1 verifier's
+    probability that the mention is linkable (None with the verifier off)."""
 
     option_ids: tuple[str, ...]
     probs: np.ndarray
-    pooled: np.ndarray
     nil: float | None = None
 
 
@@ -361,7 +359,7 @@ def score_options(
         if model.nil_verifier:
             nil, hidden = nil_stage1(model, rows[n])
         probs = head_softmax(model.head, rows[:n])
-        scores.append(LocalScores(candidates.option_ids, probs, rows[:n], nil))
+        scores.append(LocalScores(candidates.option_ids, probs, nil))
         tapes.append(ScoreTape(enc_tape=enc_tape, pooled=rows, nil_hidden=hidden))
     return scores, tapes
 
@@ -437,7 +435,7 @@ def run_local_pass(
     results = []
     for m, cands in zip(text.mentions, candidates):
         if not cands.options:
-            empty = LocalScores(option_ids=(), probs=np.zeros(0), pooled=np.zeros((0, model.config.d)))
+            empty = LocalScores(option_ids=(), probs=np.zeros(0))
             results.append(MentionLocalResult(m, cands, empty, selected=NIL, overridden=False))
             continue
         scores = next(scored)

@@ -288,7 +288,6 @@ def global_backward(
     model: GlobalModel,
     tape: GlobalTape,
     dlogits: np.ndarray,
-    scale: float = 1.0,
     out: np.ndarray | None = None,
     views: GradViews | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +295,7 @@ def global_backward(
     vector laid out like ``model.flat``, and the history gradient. ``out``
     and ``views`` work as in ``local_backward``."""
     grads, views = zeroed_grads(model, out, views)
-    dfused = head_backward(model.head, tape.gate_fusion.fused, dlogits, scale, views["head"])
+    dfused = head_backward(model.head, tape.gate_fusion.fused, dlogits, 1.0, views["head"])
     draw, dhistory = gate_backward(tape.gate_fusion, dfused, model.gate, views["gate"])
     enc.backprop_batch(tape.enc_tape, draw, views["enc"])
     return grads, dhistory

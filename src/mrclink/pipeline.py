@@ -14,7 +14,7 @@ import numpy as np
 from .config import RunConfig
 from .corpus import AnnotatedText, Mention
 from .errors import InputFormatError
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, typed, write_jsonl
 from .kb import AliasIndex, KnowledgeBase, build_index
 from .local import LocalModel, label_scores, run_local_pass
 from .multiturn import GlobalModel, MultiTurnResult, run_multi_turn
@@ -186,22 +186,23 @@ def load_decisions(path: str, corpus: Sequence[AnnotatedText]) -> list[list[Link
     """Re-attach a decisions file to its corpus, matching by text index and span."""
 
     def decision(rec: dict) -> tuple[int, LinkDecision]:
-        ti = int(rec["text"])
-        start, end = (int(x) for x in rec["span"])
+        ti = typed(rec, "text", int)
+        start, end = typed(rec, "span", int, many=True)
         if not 0 <= ti < len(corpus):
             raise ValueError(f"text index {ti} out of range")
         mention = next((m for m in corpus[ti].mentions if m.span == (start, end)), None)
         if mention is None:
             raise ValueError(f"no mention at span ({start}, {end}) in text {ti}")
+        glob, fused = (typed(rec, key, float, None, many=True) for key in ("global", "fused"))
         return ti, LinkDecision(
             mention=mention,
-            candidate_ids=tuple(rec.get("candidates", [])),
-            local_probs=np.asarray(rec.get("local", []), dtype=np.float64),
-            global_probs=None if rec.get("global") is None else np.asarray(rec["global"], dtype=np.float64),
-            fused_probs=None if rec.get("fused") is None else np.asarray(rec["fused"], dtype=np.float64),
-            selected=str(rec["selected"]),
-            rank=int(rec.get("rank", 0)),
-            nil_prob=rec.get("nil_prob"),
+            candidate_ids=tuple(typed(rec, "candidates", str, [], many=True)),
+            local_probs=np.asarray(typed(rec, "local", float, [], many=True), dtype=np.float64),
+            global_probs=None if glob is None else np.asarray(glob, dtype=np.float64),
+            fused_probs=None if fused is None else np.asarray(fused, dtype=np.float64),
+            selected=typed(rec, "selected", str),
+            rank=typed(rec, "rank", int, 0),
+            nil_prob=typed(rec, "nil_prob", float, None),
         )
 
     per_text: list[list[LinkDecision]] = [[] for _ in corpus]

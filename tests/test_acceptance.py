@@ -141,7 +141,7 @@ def test_criterion_2_gradient_suite():
         probs = softmax(logits)
         from mrclink.local import LocalScores
 
-        _, dlogits = answer_loss(LocalScores(tuple("abcd"), probs, np.zeros((4, 2))), 1)
+        _, dlogits = answer_loss(LocalScores(tuple("abcd"), probs), 1)
         for i in range(4):
             up, dn = logits.copy(), logits.copy()
             up[i] += 1e-4
@@ -463,7 +463,6 @@ def test_criterion_9_cli_determinism(tmp_path):
             "--train-out", str(out / "train.jsonl"),
             "--test-out", str(out / "test.jsonl"),
         ]) == 0
-        assert cli_main(["build-index", "--kb", str(out / "kb.jsonl"), "--out", str(out / "index.json")]) == 0
         assert cli_main([
             "train-local", "--kb", str(out / "kb.jsonl"), "--corpus", str(out / "train.jsonl"),
             "--config", str(cfg_path), "--out", str(out / "local.ckpt"), "--log", str(out / "local.log"),
@@ -486,7 +485,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     run_all(tmp_path / "a")
     run_all(tmp_path / "b")
     artifacts = [
-        "kb.jsonl", "train.jsonl", "test.jsonl", "index.json",
+        "kb.jsonl", "train.jsonl", "test.jsonl",
         "local.ckpt", "local.log", "global.ckpt", "global.log",
         "decisions.jsonl", "report.json",
     ]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrclink.cli import main
+from mrclink.cli import build_parser, main
 from mrclink.config import GATE_MODES, HISTORY_MODES
 from mrclink.corpus import AnnotatedText, Mention, load_corpus, save_corpus
 from mrclink.encoder import EncoderConfig, load_checkpoint, save_checkpoint
@@ -40,13 +40,6 @@ def workdir(tmp_path_factory):
     ])
     assert rc == 0
     return root
-
-
-def test_build_index(workdir):
-    out = workdir / "index.json"
-    assert main(["build-index", "--kb", str(workdir / "kb.jsonl"), "--out", str(out)]) == 0
-    table = json.loads(out.read_text(encoding="utf-8"))
-    assert table and all(isinstance(v, list) for v in table.values())
 
 
 def test_full_workflow(workdir, capsys):
@@ -87,7 +80,9 @@ def test_input_format_error_exits_2(workdir, capsys):
     assert rc == 2
     bad = workdir / "bad.jsonl"
     bad.write_text("{not json}\n", encoding="utf-8")
-    assert main(["build-index", "--kb", str(bad), "--out", str(workdir / "x.json")]) == 2
+    assert main([
+        "train-local", "--kb", str(bad), "--corpus", str(workdir / "train.jsonl"), "--out", str(workdir / "x.ckpt"),
+    ]) == 2
 
 
 def test_model_mismatch_exits_3(workdir, capsys):
@@ -216,9 +211,19 @@ BAD_INPUTS = {
     "kb_aliases_string": ("--kb", b'{"id": "e1", "name": "n", "aliases": "xyz"}\n'),
     "kb_reserved_nil_id": ("--kb", b'{"id": "NIL", "name": "n"}\n'),
     "kb_duplicate_id": ("--kb", b'{"id": "e1", "name": "n"}\n{"id": "e1", "name": "m"}\n'),
+    "kb_id_null": ("--kb", b'{"id": null, "name": "n"}\n'),
+    "kb_popularity_float": ("--kb", b'{"id": "e1", "name": "n", "popularity": 3.7}\n'),
+    "kb_popularity_string": ("--kb", b'{"id": "e1", "name": "n", "popularity": "12"}\n'),
+    "kb_aliases_not_strings": ("--kb", b'{"id": "e1", "name": "n", "aliases": [1, null]}\n'),
+    "kb_description_list": ("--kb", b'{"id": "e1", "name": "n", "description": ["a", "b"]}\n'),
     "corpus_not_utf8": ("--corpus", b'{"text": "\xe9t\xe9", "mentions": []}\n'),
     "corpus_array_line": ("--corpus", b'{"text": "ok", "mentions": []}\n[1, 2]\n'),
     "corpus_start_1e400": ("--corpus", b'{"text": "ab", "mentions": [{"start": 1e400, "end": 2, "surface": "ab"}]}'),
+    "corpus_text_null": ("--corpus", b'{"text": null, "mentions": []}\n'),
+    "corpus_start_float": ("--corpus", b'{"text": "ab", "mentions": [{"start": 0.9, "end": 2, "surface": "ab"}]}'),
+    "corpus_start_false": ("--corpus", b'{"text": "ab", "mentions": [{"start": false, "end": 2, "surface": "ab"}]}'),
+    "corpus_gold_int": ("--corpus", b'{"text": "ab", "mentions": [{"start": 0, "end": 2, "surface": "ab", "gold": 7}]}'),
+    "corpus_mentions_string": ("--corpus", b'{"text": "ab", "mentions": ""}\n'),
     "config_not_utf8": ("--config", b'{"seed": "\xff"}'),
     "corpus_deep_nesting": ("--corpus", b"[" * 100_000 + b"\n"),
     "config_deep_nesting": ("--config", b"[" * 100_000),
@@ -256,6 +261,29 @@ def test_bad_input_file_exits_2_with_one_line(name, workdir, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("input error:") and str(bad) in err[0]
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_config_too_large_to_allocate_exits_2(workdir, tmp_path, capsys):
+    # 2**55 positions of width 8 ask numpy for 2 EiB, which it refuses before
+    # allocating anything: no address space holds it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CFG | {"max_len_local": 2**55}), encoding="utf-8")
+    rc = main([
+        "train-local", "--kb", str(workdir / "kb.jsonl"), "--corpus", str(workdir / "train.jsonl"),
+        "--config", str(cfg), "--out", str(tmp_path / "m.ckpt"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_readme_cli_block_names_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("mrclink ")}
+    [sub] = [a for a in build_parser()._actions if a.dest == "command"]
+    assert documented == set(sub.choices)
 
 
 def test_eval_of_a_text_without_mentions_exits_0(workdir, untrained_local, tmp_path, capsys):

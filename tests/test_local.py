@@ -117,14 +117,14 @@ class TestSoftmaxScores:
 
 class TestAnswerLoss:
     def test_certain_answer_has_zero_loss(self):
-        scores = LocalScores(("a", "b"), np.array([1.0, 0.0]), np.zeros((2, 4)))
+        scores = LocalScores(("a", "b"), np.array([1.0, 0.0]))
         loss, grad = answer_loss(scores, 0)
         assert loss == 0.0
         np.testing.assert_allclose(grad, [0.0, 0.0])
 
     def test_uniform_loss_is_log_k(self):
         for k in (2, 3, 5, 8):
-            scores = LocalScores(tuple("abcdefgh"[:k]), np.full(k, 1.0 / k), np.zeros((k, 4)))
+            scores = LocalScores(tuple("abcdefgh"[:k]), np.full(k, 1.0 / k))
             loss, _ = answer_loss(scores, 0)
             assert loss == pytest.approx(math.log(k), abs=1e-12)
 
@@ -136,7 +136,7 @@ class TestAnswerLoss:
         def loss_of(z):
             return -math.log(softmax(z)[gold])
 
-        _, grad = answer_loss(LocalScores(tuple("abcd"), softmax(logits), np.zeros((4, 2))), gold)
+        _, grad = answer_loss(LocalScores(tuple("abcd"), softmax(logits)), gold)
         h = 1e-6
         for i in range(4):
             up, dn = logits.copy(), logits.copy()
@@ -224,24 +224,24 @@ class TestJointLoss:
 
 class TestLocalPredict:
     def test_argmax_selects_nil_option(self):
-        scores = LocalScores(("e1", "e2", NIL), np.array([0.1, 0.2, 0.7]), np.zeros((3, 2)), 0.9)
+        scores = LocalScores(("e1", "e2", NIL), np.array([0.1, 0.2, 0.7]), 0.9)
         assert local_predict(scores) == (NIL, False)
 
     def test_stage_one_override(self):
-        scores = LocalScores(("e1", "e2", NIL), np.array([0.8, 0.1, 0.1]), np.zeros((3, 2)), 0.2)
+        scores = LocalScores(("e1", "e2", NIL), np.array([0.8, 0.1, 0.1]), 0.2)
         assert local_predict(scores, nil_threshold=0.5) == (NIL, True)
         assert local_predict(scores, nil_threshold=0.5, apply_override=False) == ("e1", False)
 
     def test_confident_judgement_keeps_argmax(self):
-        scores = LocalScores(("e1", "e2", NIL), np.array([0.8, 0.1, 0.1]), np.zeros((3, 2)), 0.9)
+        scores = LocalScores(("e1", "e2", NIL), np.array([0.8, 0.1, 0.1]), 0.9)
         assert local_predict(scores) == ("e1", False)
 
     def test_without_verifier_is_plain_argmax(self):
-        scores = LocalScores(("e1", "e2"), np.array([0.4, 0.6]), np.zeros((2, 2)))
+        scores = LocalScores(("e1", "e2"), np.array([0.4, 0.6]))
         assert local_predict(scores) == ("e2", False)
 
     def test_tie_breaks_by_candidate_order(self):
-        scores = LocalScores(("e1", "e2"), np.array([0.5, 0.5]), np.zeros((2, 2)))
+        scores = LocalScores(("e1", "e2"), np.array([0.5, 0.5]))
         assert local_predict(scores) == ("e1", False)
 
 
@@ -337,7 +337,6 @@ class TestQueryRowRidesAlong:
             [with_row], _ = score_options(model, [(cands, query)])
             [without], _ = score_options(plain, [(cands, query)])
             assert with_row.probs.tobytes() == without.probs.tobytes()
-            assert with_row.pooled.tobytes() == without.pooled.tobytes()
             assert without.nil is None
 
     def test_nil_probability_matches_query_row_encoded_alone(self):
@@ -418,7 +417,6 @@ class TestPerTextBatch:
                 continue
             [alone], _ = score_options(model, [(cands, build_query(text, r.mention))])
             assert r.scores.probs.tobytes() == alone.probs.tobytes()
-            assert r.scores.pooled.tobytes() == alone.pooled.tobytes()
             if nil_verifier:
                 assert np.float64(r.scores.nil).tobytes() == np.float64(alone.nil).tobytes()
             else:

@@ -190,6 +190,35 @@ class TestLinkCorpus:
                 assert got.local_probs.tobytes() == expect.local_probs.tobytes()
 
 
+    def test_texts_are_independent_of_corpus_order(self):
+        """A text's decisions are ``link_text`` on that text alone, bitwise,
+        wherever it sits in the corpus; an over-long text's error names its
+        own index and leaves the other texts as they are."""
+        world = generate_synthetic_world(SynthSpec(n_entities=80, n_train_texts=40, n_test_texts=20, seed=5))
+        vocab = build_vocabulary(world.train, world.kb)
+        config = EncoderConfig(vocab_size=len(vocab), max_len=48, d=8, n_layers=1, n_heads=2, seed=3)
+        local = LocalModel.init(config, vocab)
+        glob = GlobalModel.from_local(local, max_len=64)
+        cfg = RunConfig(encoder=EncoderSettings(d=8, n_layers=1, n_heads=2), max_len_local=48, max_len_global=64)
+        surface = world.test[0].mentions[0].surface
+        long_text = AnnotatedText(" ".join([surface] + ["filler"] * 60), (Mention(0, len(surface), surface),))
+        texts = world.test[:6] + [long_text] + world.test[6:]
+        assert sum(len(t.mentions) > 1 for t in texts) >= 3
+        index = build_index(world.kb)
+        alone = [None if t is long_text else records(link_text(t, index, local, glob, cfg)) for t in texts]
+        for order in (np.arange(len(texts)), np.random.default_rng(13).permutation(len(texts))):
+            decisions, errors = link_corpus([texts[i] for i in order], world.kb, local, glob, cfg)
+            at = int(np.flatnonzero(order == 6)[0])
+            assert [(i, type(e)) for i, e in errors] == [(at, SequenceOverflowError)]
+            for pos, i in enumerate(order):
+                assert records(decisions[pos]) == (alone[i] or [])
+
+
+def records(decisions):
+    """The decision records of one text, their floats written exactly."""
+    return [json.dumps(d.to_record(0)) for d in decisions]
+
+
 def fake_decisions(corpus, selections):
     out = []
     for text, sels in zip(corpus, selections):
@@ -291,6 +320,53 @@ class TestDecisionsIO:
         path.write_text('{"text": 0, "span": [0, 3], "selected": "e1"}\n', encoding="utf-8")
         with pytest.raises(InputFormatError):
             load_decisions(str(path), corpus)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("text", True),
+            ("text", 0.0),
+            ("span", "float"),
+            ("selected", None),
+            ("selected", 3),
+            ("selected", True),
+            ("selected", [0, 1]),
+            ("rank", 1.5),
+            ("candidates", "x"),
+            ("candidates", [1, 2]),
+            ("local", None),
+            ("local", [0.5, "x"]),
+            ("local", [0.5, True]),
+            ("global", "x"),
+            ("fused", [None]),
+            ("nil_prob", "high"),
+            ("nil_prob", [0.5]),
+        ],
+        ids=repr,
+    )
+    def test_mistyped_field_rejected(self, key, value, tmp_path):
+        kb, corpus, cfg, local, glob = pipeline_world()
+        path = tmp_path / "decisions.jsonl"
+        save_decisions(link_corpus(corpus, kb, local, glob, cfg)[0], str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[0])
+        # floats that truncate to the record's own span, so only the type is wrong
+        rec[key] = [rec["span"][0] + 0.0, rec["span"][1] + 0.9] if value == "float" else value
+        path.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match=rf":1: bad decision record: .*{key}"):
+            load_decisions(str(path), corpus)
+
+    def test_absent_optional_fields_take_their_defaults(self, tmp_path):
+        kb, corpus, cfg, local, glob = pipeline_world()
+        path = tmp_path / "decisions.jsonl"
+        path.write_text(
+            '{"text": 0, "span": [0, 5], "selected": "e1"}\n'
+            '{"text": 0, "span": [12, 16], "selected": "NIL", "global": null, "fused": null, "nil_prob": null}\n',
+            encoding="utf-8",
+        )
+        for dec in load_decisions(str(path), corpus)[0]:
+            assert (dec.candidate_ids, dec.local_probs.shape, dec.rank) == ((), (0,), 0)
+            assert dec.global_probs is None and dec.fused_probs is None and dec.nil_prob is None
 
     def test_fuzzed_decisions_load_and_evaluate_or_raise_input_errors(self, tmp_path):
         kb, corpus, cfg, local, glob = pipeline_world()
