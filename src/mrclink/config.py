@@ -5,6 +5,8 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Mapping
 
+import numpy as np
+
 from .encoder import EncoderConfig
 from .errors import InputFormatError
 from .jsonl import finite
@@ -86,6 +88,13 @@ class RunConfig:
             EncoderConfig(vocab_size=1, max_len=self.max_len_local, seed=self.seed, **asdict(self.encoder))
         except ValueError as exc:
             raise InputFormatError(f"bad encoder config: {exc}") from exc
+        # a position table or FFN matrix of more bytes than numpy can index
+        # would end in a ValueError from the initializer
+        d = self.encoder.d
+        tables = {"max_len_local": self.max_len_local * d, "max_len_global": self.max_len_global * d, "d": 4 * d * d}
+        for name, size in tables.items():
+            if 8 * size > np.iinfo(np.intp).max:
+                raise InputFormatError(f"config field {name!r} too large: {size} float64s exceed numpy's largest array")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":

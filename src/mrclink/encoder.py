@@ -30,6 +30,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ModelConfigError
+from .jsonl import typed
 
 LN_EPS = 1e-6
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -64,7 +65,8 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "EncoderConfig":
-        return cls(**{f.name: int(d[f.name]) for f in fields(cls)})
+        """Every field must be an integer (never a bool or float); else ``TypeError``."""
+        return cls(**{f.name: typed(d, f.name, int) for f in fields(cls)})
 
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:

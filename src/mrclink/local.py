@@ -37,7 +37,7 @@ from .corpus import (
 )
 from .encoder import EncoderConfig, EncoderTape
 from .errors import ModelConfigError
-from .jsonl import write_jsonl
+from .jsonl import typed, write_jsonl
 from .kb import (
     NIL,
     NIL_DESCRIPTION,
@@ -155,13 +155,14 @@ def fit(
     record per epoch, also written to ``log_path`` when given.
 
     Each epoch visits ``units`` in a permutation drawn from a generator
-    seeded with ``seed``. ``step(unit, grads, views)`` writes the unit's
-    gradient into ``grads``, one vector laid out like ``model.flat`` and
-    reused by every step, and returns its loss and label pairs, or None to
-    make no Adam step. Warmup spans ``epochs * len(units)`` steps. A record
-    holds the mean step loss, and the ``label_scores`` answer accuracy and
-    NIL precision and recall of the epoch's pairs; training stops
-    after an epoch whose accuracy reaches ``stop_accuracy``.
+    seeded with ``seed``. ``grads`` is one vector laid out like
+    ``model.flat``, reused by every step and zeroed before each:
+    ``step(unit, grads, views)`` adds the unit's gradient into it (or into
+    ``views``, its ``model.views``) and returns its loss and label pairs, or
+    None to make no Adam step. Warmup spans ``epochs * len(units)`` steps.
+    A record holds the mean step loss, and the ``label_scores`` answer
+    accuracy and NIL precision and recall of the epoch's pairs; training
+    stops after an epoch whose accuracy reaches ``stop_accuracy``.
     """
     warmup_steps = enc.warmup_steps(warmup, epochs * len(units))
     adam = enc.AdamState.zeros_like(model.flat)
@@ -172,6 +173,7 @@ def fit(
     for epoch in range(epochs):
         losses, pairs = [], []
         for i in rng.permutation(len(units)):
+            grads.fill(0.0)
             result = step(units[i], grads, views)
             if result is not None:
                 model.step(grads, adam, lr, warmup_steps)
@@ -208,20 +210,6 @@ def label_scores(pairs: Sequence[tuple[str, str]]) -> dict:
         "n_mentions": len(pairs),
         "n_correct": n_correct,
     }
-
-
-def zeroed_grads(
-    model: Model, out: np.ndarray | None = None, views: GradViews | None = None
-) -> tuple[np.ndarray, GradViews]:
-    """A zero gradient vector laid out like ``model.flat``, and its views:
-    ``out`` zeroed in place when given (its ``views`` reused when given too),
-    else a new vector. Training reuses one vector across steps, so a step
-    allocates no parameter-sized array and faults in no fresh pages."""
-    if out is None:
-        out = np.zeros_like(model.flat)
-    else:
-        out.fill(0.0)
-    return out, model.views(out) if views is None else views
 
 
 def check_vocab(config: EncoderConfig, vocab: Vocabulary) -> None:
@@ -324,15 +312,10 @@ def head_softmax(head: Mapping[str, np.ndarray], vectors: np.ndarray) -> np.ndar
 
 
 def head_backward(
-    head: Mapping[str, np.ndarray],
-    vectors: np.ndarray,
-    dlogits: np.ndarray,
-    scale: float,
-    grads: Mapping[str, np.ndarray],
+    head: Mapping[str, np.ndarray], vectors: np.ndarray, dlogits: np.ndarray, grads: Mapping[str, np.ndarray]
 ) -> np.ndarray:
-    """Add the head gradients of ``scale`` times the loss into ``grads``, and
-    return its gradient w.r.t. ``vectors``."""
-    dlogits = dlogits * scale
+    """Add the head gradients into ``grads``, and return the gradient w.r.t.
+    ``vectors``."""
     grads["score_w"] += vectors.T @ dlogits
     grads["score_b"] += dlogits.sum()
     return np.outer(dlogits, head["score_w"])
@@ -483,29 +466,24 @@ def local_backward(
     dlogits: np.ndarray,
     dlogit: float,
     cfg: RunConfig,
-    out: np.ndarray | None = None,
-    views: GradViews | None = None,
-) -> np.ndarray:
-    """Gradient of ``joint_local_loss`` as a vector laid out like
-    ``model.flat``: ``dlogits`` is the answer-loss gradient w.r.t. the option
-    logits, ``dlogit`` the NIL-loss gradient w.r.t. the verifier logit
-    (ignored with the verifier off).
+    grads: GradViews,
+) -> None:
+    """Add the gradient of ``joint_local_loss`` into ``grads``, the
+    ``model.views`` of a vector: ``dlogits`` is the answer-loss gradient
+    w.r.t. the option logits, ``dlogit`` the NIL-loss gradient w.r.t. the
+    verifier logit (ignored with the verifier off).
 
     The head gradient goes into the option rows and the verifier-MLP gradient
     into the query row of one ``dpooled``, sent back in one encoder backward,
     so the tape's encoder batch must hold this candidate set's rows alone.
-
-    With ``out`` (and its ``model.views``, if the caller keeps them) the
-    gradient overwrites ``out``, which is returned; otherwise a new vector is.
     """
-    grads, views = zeroed_grads(model, out, views)
     n = len(dlogits)
-    doptions = head_backward(model.head, tape.pooled[:n], dlogits, cfg.alpha1, views["head"])
+    doptions = head_backward(model.head, tape.pooled[:n], dlogits * cfg.alpha1, grads["head"])
     dpooled = np.zeros_like(tape.pooled)
     dpooled[:n] = doptions
     hidden = tape.nil_hidden
     if hidden is not None:
-        nil = views["nil"]
+        nil = grads["nil"]
         dlogit = dlogit * cfg.alpha2
         dpre = (1.0 - hidden * hidden) * (dlogit * model.nil["out_w"])
         nil["out_w"] += dlogit * hidden
@@ -513,8 +491,7 @@ def local_backward(
         nil["hidden_w"] += np.outer(tape.pooled[n], dpre)
         nil["hidden_b"] += dpre
         dpooled[n] = model.nil["hidden_w"] @ dpre
-    enc.backprop_batch(tape.enc_tape, dpooled, views["enc"])
-    return grads
+    enc.backprop_batch(tape.enc_tape, dpooled, grads["enc"])
 
 
 def _resolve_gold(m: Mention, kb: KnowledgeBase) -> Entity | None:
@@ -570,7 +547,7 @@ def train_local(
         [scores], [tape] = score_options(model, [(cands, build_query(text, mention))])
         l_ans, dlogits = answer_loss(scores, gold_index)
         l_nil, dlogit = (0.0, 0.0) if scores.nil is None else nil_loss(scores.nil, gold_entity is not None)
-        local_backward(model, tape, dlogits, dlogit, cfg, out=grads, views=views)
+        local_backward(model, tape, dlogits, dlogit, cfg, views)
         predicted, _ = local_predict(scores, cfg.nil_threshold, cfg.nil_override)
         return joint_local_loss(l_ans, l_nil, cfg), [(predicted, cands.option_ids[gold_index])]
 
@@ -629,7 +606,8 @@ def load_model(path: str, cls: type[M]) -> M:
         raise ModelConfigError(f"{path}: bad checkpoint settings {bad}")
     try:
         config = EncoderConfig.from_dict(header["encoder_config"])
-        vocab = Vocabulary({t: int(i) for t, i in header["vocab"].items()})
+        ids = typed(header, "vocab", dict)
+        vocab = Vocabulary({t: typed(ids, t, int) for t in ids})
         _check_encoder_shapes(path, config, tensors)
         model = cls.init(config, vocab, **settings)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -33,7 +33,6 @@ from .local import (
     init_head,
     run_local_pass,
     training_candidates,
-    zeroed_grads,
 )
 
 
@@ -284,21 +283,13 @@ def global_loss(scores: GlobalScores, gold_index: int) -> tuple[float, np.ndarra
     return enc.cross_entropy(scores.probs, gold_index)
 
 
-def global_backward(
-    model: GlobalModel,
-    tape: GlobalTape,
-    dlogits: np.ndarray,
-    out: np.ndarray | None = None,
-    views: GradViews | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backward through head, gate, and encoder: the parameter gradient as a
-    vector laid out like ``model.flat``, and the history gradient. ``out``
-    and ``views`` work as in ``local_backward``."""
-    grads, views = zeroed_grads(model, out, views)
-    dfused = head_backward(model.head, tape.gate_fusion.fused, dlogits, 1.0, views["head"])
-    draw, dhistory = gate_backward(tape.gate_fusion, dfused, model.gate, views["gate"])
-    enc.backprop_batch(tape.enc_tape, draw, views["enc"])
-    return grads, dhistory
+def global_backward(model: GlobalModel, tape: GlobalTape, dlogits: np.ndarray, grads: GradViews) -> np.ndarray:
+    """Add the gradient through head, gate and encoder into ``grads``, the
+    ``model.views`` of a vector, and return the history gradient."""
+    dfused = head_backward(model.head, tape.gate_fusion.fused, dlogits, grads["head"])
+    draw, dhistory = gate_backward(tape.gate_fusion, dfused, model.gate, grads["gate"])
+    enc.backprop_batch(tape.enc_tape, draw, grads["enc"])
+    return dhistory
 
 
 # ----------------------------- the turn loop -----------------------------
@@ -414,10 +405,11 @@ def train_global(
     with_nil = local_model.nil_verifier
     multi = [t for t in corpus if len(t.mentions) >= 2]
     units = [(t, processing_order(run_local_pass(local_model, t, index, cfg), cfg)) for t in multi]
-    # One turn's gradient, reused across steps. Each turn is backpropagated
-    # into it and then added to the text's sum: backpropagating straight into
-    # the sum would round the ``tok_emb`` rows, which ``backprop_batch`` adds
-    # one at a time, differently on a text with two or more scored turns.
+    # One turn's gradient, reused across turns and zeroed before each. Each
+    # turn is backpropagated into it, then added to the text's sum as a
+    # whole: backpropagating straight into the sum would round the
+    # ``tok_emb`` rows, which ``backprop_batch`` adds one at a time,
+    # differently on a text with two or more scored turns.
     turn_grads = np.empty_like(model.flat)
     turn_views = model.views(turn_grads)
 
@@ -430,12 +422,12 @@ def train_global(
         scored = [(walked[i], targets[i][1]) for i in order if walked[i] is not None]
         if not scored:
             return None
-        grads.fill(0.0)
         losses, pairs = [], []
         for (scores, tape), gold_index in scored:
             loss, dlogits = global_loss(scores, gold_index)
             losses.append(loss)
-            global_backward(model, tape, dlogits, out=turn_grads, views=turn_views)
+            turn_grads.fill(0.0)
+            global_backward(model, tape, dlogits, turn_views)
             grads += turn_grads
             pairs.append((scores.option_ids[int(np.argmax(scores.probs))], scores.option_ids[gold_index]))
         grads *= 1.0 / len(losses)

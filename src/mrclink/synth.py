@@ -55,6 +55,11 @@ class SynthSpec:
             raise ValueError("need at least as many topics as the ambiguity degree")
         if self.anchors_per_topic < 2:
             raise ValueError("need at least two anchors per topic (train/test split)")
+        n_anchor = self.n_topics * self.anchors_per_topic
+        if n_anchor >= self.n_entities:
+            raise ValueError("n_entities too small for the requested anchors")
+        if (self.n_entities - n_anchor) // self.ambiguity < 1:
+            raise ValueError("n_entities too small for any ambiguous surface")
 
 
 @dataclass
@@ -68,20 +73,24 @@ class SynthWorld:
 
 
 class _WordMaker:
-    """Collision-free pseudo-word generator."""
+    """Collision-free pseudo-word generator; raises ``ValueError`` once every
+    word of the asked length is taken."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.used: set[str] = set()
+        self.used: dict[int, set[str]] = {}  # words made, by syllable count
 
     def word(self, n_syllables: int = 2) -> str:
+        used = self.used.setdefault(n_syllables, set())
+        if len(used) == (len(_CONSONANTS) * len(_VOWELS)) ** n_syllables:
+            raise ValueError(f"the world needs more than the {len(used)} {n_syllables}-syllable pseudo-words")
         while True:
             w = "".join(
                 self.rng.choice(list(_CONSONANTS)) + self.rng.choice(list(_VOWELS))
                 for _ in range(n_syllables)
             )
-            if w not in self.used:
-                self.used.add(w)
+            if w not in used:
+                used.add(w)
                 return w
 
 
@@ -113,12 +122,8 @@ def generate_synthetic_world(spec: SynthSpec) -> SynthWorld:
     fillers = [wm.word() for _ in range(8)]
 
     n_anchor = spec.n_topics * spec.anchors_per_topic
-    if n_anchor >= spec.n_entities:
-        raise ValueError("n_entities too small for the requested anchors")
     n_amb_surfaces = (spec.n_entities - n_anchor) // spec.ambiguity
     n_extra = spec.n_entities - n_anchor - n_amb_surfaces * spec.ambiguity
-    if n_amb_surfaces < 1:
-        raise ValueError("n_entities too small for any ambiguous surface")
 
     entities: list[Entity] = []
     eid = 0

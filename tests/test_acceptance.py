@@ -166,7 +166,9 @@ def test_criterion_2_gradient_suite():
             [scores], [tape] = score_options(model, [(cands, query)])
             _, dlogit = nil_loss(scores.nil, True)
             nil_only = RunConfig(alpha1=0.0, alpha2=1.0)
-            nil_grads = model.named(local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only))
+            g = np.zeros_like(model.flat)
+            local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only, model.views(g))
+            nil_grads = model.named(g)
             n, bad = _fd_check(nil_loss_fn, model.parameters(), nil_grads, rng, cap=40)
             assert not bad, bad[:3]
             total += n
@@ -181,7 +183,9 @@ def test_criterion_2_gradient_suite():
             [scores], [tape] = score_options(model, [(cands, query)])
             _, dl = answer_loss(scores, gold)
             _, dlogit = nil_loss(scores.nil, True)
-            grads = model.named(local_backward(model, tape, dl, dlogit, cfg))
+            g = np.zeros_like(model.flat)
+            local_backward(model, tape, dl, dlogit, cfg, model.views(g))
+            grads = model.named(g)
             n, bad = _fd_check(local_loss_fn, model.parameters(), grads, rng, cap=60)
             assert not bad, bad[:3]
             total += n
@@ -196,8 +200,9 @@ def test_criterion_2_gradient_suite():
 
             gscores, gtape = global_score_mention(gmodel, cands, query, history)
             _, gdl = global_loss(gscores, gold)
-            ggrads, dhistory = global_backward(gmodel, gtape, gdl)
-            n, bad = _fd_check(global_loss_fn, gmodel.parameters(), gmodel.named(ggrads), rng, cap=60)
+            g = np.zeros_like(gmodel.flat)
+            dhistory = global_backward(gmodel, gtape, gdl, gmodel.views(g))
+            n, bad = _fd_check(global_loss_fn, gmodel.parameters(), gmodel.named(g), rng, cap=60)
             assert not bad, bad[:3]
             total += n
             for i in range(d):

@@ -99,7 +99,25 @@ def _wide_header_narrow_blocks(header, tensors):
         tensors[name] = np.zeros((tensors[name].shape[0], d))
 
 
-CORRUPTIONS = [
+def _float_heads(header, tensors):
+    header["encoder_config"]["n_heads"] = 2.0
+
+
+def _string_seed(header, tensors):
+    header["encoder_config"]["seed"] = "0"
+
+
+def _bool_depth(header, tensors):
+    header["encoder_config"]["n_layers"] = True
+
+
+def _float_pad_id(header, tensors):
+    header["vocab"]["[PAD]"] = 0.5
+
+
+MISTYPED = [_float_heads, _string_seed, _bool_depth, _float_pad_id]
+
+CORRUPTIONS = MISTYPED + [
     _drop_head_weight,
     _add_tensor,
     _reshape_head_weight,
@@ -173,6 +191,23 @@ def test_link_refuses_oversized_header_before_allocating(corrupt, tmp_path, caps
     assert rc == 3
     assert time.perf_counter() - start < 1.0
     assert "does not match the stored embeddings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt", MISTYPED, ids=lambda f: f.__name__.strip("_"))
+def test_link_refuses_a_mistyped_header_field(corrupt, tmp_path, capsys):
+    # int() would turn each value into a valid one; the header is read strictly
+    path, header, tensors = saved("local", tmp_path)
+    corrupt(header, tensors)
+    enc.save_checkpoint(str(path), header, tensors)
+    save_kb(KB, str(tmp_path / "kb.jsonl"))
+    save_corpus(CORPUS, str(tmp_path / "corpus.jsonl"))
+    rc = main([
+        "link", "--kb", str(tmp_path / "kb.jsonl"), "--corpus", str(tmp_path / "corpus.jsonl"),
+        "--local-model", str(path), "--out", str(tmp_path / "dec.jsonl"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "bad checkpoint header" in err[0]
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

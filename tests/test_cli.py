@@ -1,5 +1,8 @@
 """Command-line workflow and exit-code tests."""
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -111,6 +114,22 @@ def test_gen_synth_rejects_impossible_world(tmp_path, capsys):
         "--test-out", str(tmp_path / "te.jsonl"),
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("entities", [100, 8000])
+def test_gen_synth_out_of_topic_words_exits_2(entities, tmp_path):
+    # 1,300 topics need 5,220 of the 4,900 two-syllable words; with 100
+    # entities the spec is rejected before any word is drawn. A subprocess
+    # with a timeout turns a hang into a failure.
+    outputs = [part for name in ("kb", "train", "test") for part in (f"--{name}-out", str(tmp_path / name))]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mrclink", "gen-synth", "--topics", "1300", "--entities", str(entities), *outputs],
+        env=os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +262,9 @@ BAD_CONFIGS = [
     {"warmup": -0.5},
     {"lr_global": -1e-5},
     {"stop_accuracy": -1},
+    {"max_len_local": 2**62},  # tables of more bytes than numpy can index
+    {"max_len_global": 2**62},
+    {"encoder": {"d": 2**31}},
 ]
 for i, bad in enumerate(BAD_CONFIGS):
     BAD_INPUTS[f"config{i}"] = ("--config", json.dumps(CFG | bad).encode("utf-8"))

@@ -19,6 +19,7 @@ from mrclink.local import (
     answer_loss,
     build_vocabulary,
     encode_sets,
+    fit,
     joint_local_loss,
     load_model,
     local_backward,
@@ -195,7 +196,9 @@ class TestNilVerifier:
         [scores], [tape] = score_options(model, [(cands, query)])
         _, dlogit = nil_loss(scores.nil, True)
         nil_only = RunConfig(alpha1=0.0, alpha2=1.0)
-        grads = model.named(local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only))
+        g = np.zeros_like(model.flat)
+        local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only, model.views(g))
+        grads = model.named(g)
         h = 1e-5
         for group, name in (("nil", "hidden_w"), ("nil", "hidden_b"), ("nil", "out_w"), ("nil", "out_b")):
             arr = getattr(model, group)[name]
@@ -291,7 +294,9 @@ class TestJointGradients:
         [scores], [tape] = score_options(model, [(cands, query)])
         _, dlogits = answer_loss(scores, gold_index)
         _, dlogit = nil_loss(scores.nil, True)
-        grads = model.named(local_backward(model, tape, dlogits, dlogit, cfg))
+        g = np.zeros_like(model.flat)
+        local_backward(model, tape, dlogits, dlogit, cfg, model.views(g))
+        grads = model.named(g)
 
         rng = np.random.default_rng(0)
         flat_params = model.parameters()
@@ -584,3 +589,54 @@ class TestTrainLocal:
         for rec in logs:
             assert set(rec) == {"epoch", "loss", "answer_accuracy", "nil_precision", "nil_recall"}
             assert all(0.0 <= rec[k] <= 1.0 for k in ("answer_accuracy", "nil_precision", "nil_recall"))
+
+
+class TestFit:
+    """``fit`` driven by stub steps on a tiny model."""
+
+    def test_every_step_adds_into_a_zeroed_vector(self):
+        # odd units write NaN garbage and score nothing, even units add a
+        # gradient and score: a vector not zeroed before a step would show
+        # the garbage here, or send NaN into the Adam step
+        kb, corpus = tiny_world()
+        model = tiny_model(kb, corpus)
+        seen = []
+
+        def step(unit, grads, views):
+            seen.append(not grads.any())
+            if unit % 2:
+                grads.fill(np.nan)
+                return None
+            grads += 1.0
+            return float(unit), [("e1", "e1")]
+
+        logs = fit(model, range(6), step, epochs=2, lr=1e-3, warmup=0.0, seed=0)
+        assert seen == [True] * 12
+        assert [rec["loss"] for rec in logs] == [2.0, 2.0]  # the mean of units 0, 2 and 4 alone
+
+    def test_unscored_steps_make_no_adam_step(self):
+        kb, corpus = tiny_world()
+        model = tiny_model(kb, corpus)
+        before = model.flat.copy()
+
+        def step(unit, grads, views):
+            grads += 1.0
+            return None
+
+        logs = fit(model, range(4), step, epochs=2, lr=1e-3, warmup=0.0, seed=0)
+        assert model.flat.tobytes() == before.tobytes()
+        assert [rec["loss"] for rec in logs] == [0.0, 0.0]
+
+    def test_stop_accuracy_ends_training_after_the_epoch_reaching_it(self):
+        kb, corpus = tiny_world()
+        model = tiny_model(kb, corpus)
+        calls = []
+
+        def step(unit, grads, views):
+            calls.append(unit)
+            correct = len(calls) > 3  # every step from the second epoch on
+            return 0.5, [("e1", "e1" if correct else "e2")]
+
+        logs = fit(model, range(3), step, epochs=5, lr=1e-3, warmup=0.0, seed=0, stop_accuracy=1.0)
+        assert [rec["answer_accuracy"] for rec in logs] == [0.0, 1.0]
+        assert len(calls) == 6

@@ -1,6 +1,6 @@
 """Training reuses one gradient vector per model across steps, and that
-changes no bit: against the allocating path, where every backward call
-fills a new zero vector, parameters and logs are bitwise equal."""
+changes no bit: against a reference where every backward call fills a
+new zero vector, parameters and logs are bitwise equal."""
 from dataclasses import replace
 
 import numpy as np
@@ -48,24 +48,26 @@ def joined_world():
 
 def allocating(backward):
     """``backward`` run into a new zero vector on every call, then copied
-    into the caller's ``out``."""
+    into the caller's trailing ``grads`` views."""
 
-    def run(*args, out=None, views=None):
-        result = backward(*args)
-        grads = result[0] if isinstance(result, tuple) else result
-        if out is not None:
-            np.copyto(out, grads)
+    def run(model, *args):
+        *args, grads = args
+        fresh = model.views(np.zeros_like(model.flat))
+        result = backward(model, *args, fresh)
+        for prefix, group in fresh.items():
+            for name, g in group.items():
+                np.copyto(grads[prefix][name], g)
         return result
 
     return run
 
 
 def spying(backward, seen):
-    """``backward`` unchanged, recording the ``out`` vector of every call."""
+    """``backward`` unchanged, recording the trailing ``grads`` views of every call."""
 
-    def run(*args, out=None, views=None):
-        seen.append(out)
-        return backward(*args, out=out, views=views)
+    def run(*args):
+        seen.append(args[-1])
+        return backward(*args)
 
     return run
 
@@ -75,7 +77,7 @@ def assert_reuse_is_bitwise(monkeypatch, module, name, train):
     seen = []
     monkeypatch.setattr(module, name, spying(original, seen))
     shipped, shipped_logs = train()
-    assert len(seen) > 1 and seen[0] is not None and all(out is seen[0] for out in seen)
+    assert len(seen) > 1 and all(grads is seen[0] for grads in seen)
     monkeypatch.setattr(module, name, allocating(original))
     fresh, fresh_logs = train()
     assert shipped.flat.tobytes() == fresh.flat.tobytes()
@@ -89,7 +91,7 @@ def test_train_local_reuses_its_gradient_vector_bitwise(joined_world, monkeypatc
 
 def test_train_global_reuses_its_turn_vector_bitwise(joined_world, monkeypatch):
     # several scored turns per text: each turn's gradient must be summed as
-    # a whole vector, as the allocating path sums it
+    # a whole vector, as the reference sums it
     kb, corpus, cfg = joined_world
     lm, _ = local.train_local(corpus, kb, cfg)
     assert_reuse_is_bitwise(
