@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success; 2 an input-format error, a path that cannot be opened
-or a config too large to allocate; 3 model/config mismatch. ``link`` writes the
-decisions of every text that links and exits 2 if any text raised an input-format error.
-"""
+Exit codes: 0 success; 2 an input-format error, a path that cannot be opened,
+a config too large to allocate or a diverged training; 3 model/config mismatch,
+non-finite checkpoint values or scores. ``link`` writes the decisions of every
+text that links and exits 2 if any text raised an input-format error."""
 from __future__ import annotations
 
 import argparse

@@ -36,7 +36,7 @@ from .corpus import (
     tokenize,
 )
 from .encoder import EncoderConfig, EncoderTape
-from .errors import ModelConfigError
+from .errors import InputFormatError, ModelConfigError
 from .jsonl import typed, write_jsonl
 from .kb import (
     NIL,
@@ -57,24 +57,18 @@ GradViews = dict[str, dict[str, np.ndarray]]  # Model.views of a vector: {prefix
 
 @dataclass
 class LocalScores:
-    """Per-option probabilities for one mention, and the stage-1 verifier's
-    probability that the mention is linkable (None with the verifier off)."""
+    """Per-option probabilities for one mention, the stage-1 verifier's
+    probability that the mention is linkable, and what ``local_backward``
+    reads: the tape of the encoder batch holding the set's rows, its pooled
+    rows (options, then the query row) and the verifier's hidden layer. The
+    verifier's are None with it off, the last three outside ``score_options``."""
 
     option_ids: tuple[str, ...]
     probs: np.ndarray
     nil: float | None = None
-
-
-@dataclass
-class ScoreTape:
-    """Backward state of one candidate set scored by ``score_options``: the
-    tape of the encoder batch that holds its rows, its pooled rows (options,
-    then the query row) and the verifier's hidden layer (None with the
-    verifier off)."""
-
-    enc_tape: EncoderTape
-    pooled: np.ndarray
-    nil_hidden: np.ndarray | None
+    enc_tape: EncoderTape | None = field(default=None, repr=False)
+    pooled: np.ndarray | None = field(default=None, repr=False)
+    nil_hidden: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -160,6 +154,8 @@ def fit(
     ``step(unit, grads, views)`` adds the unit's gradient into it (or into
     ``views``, its ``model.views``) and returns its loss and label pairs, or
     None to make no Adam step. Warmup spans ``epochs * len(units)`` steps.
+    A non-finite gradient, a diverged training, raises ``InputFormatError``
+    naming the epoch and the tensor before the step writes anything.
     A record holds the mean step loss, and the ``label_scores`` answer
     accuracy and NIL precision and recall of the epoch's pairs; training
     stops after an epoch whose accuracy reaches ``stop_accuracy``.
@@ -176,7 +172,10 @@ def fit(
             grads.fill(0.0)
             result = step(units[i], grads, views)
             if result is not None:
-                model.step(grads, adam, lr, warmup_steps)
+                try:
+                    model.step(grads, adam, lr, warmup_steps)
+                except ValueError as exc:
+                    raise InputFormatError(f"epoch {epoch}: {exc}; the training diverged") from None
                 losses.append(result[0])
                 pairs += result[1]
         scores = label_scores(pairs)
@@ -321,11 +320,8 @@ def head_backward(
     return np.outer(dlogits, head["score_w"])
 
 
-def score_options(
-    model: LocalModel, pairs: Sequence[tuple[CandidateSet, str]]
-) -> tuple[list[LocalScores], list[ScoreTape]]:
-    """Score each (candidate set, query) pair of one text: one ``LocalScores``
-    and one ``ScoreTape`` per pair.
+def score_options(model: LocalModel, pairs: Sequence[tuple[CandidateSet, str]]) -> list[LocalScores]:
+    """One ``LocalScores`` per (candidate set, query) pair of one text.
 
     The pairs are encoded by one ``encode_sets`` call, with the query row when
     the verifier is on, so each pair gets bitwise the scores it gets alone.
@@ -335,16 +331,15 @@ def score_options(
     if not pairs:
         raise ValueError("no candidate set to score")
     encoded = encode_sets(model, [(c.options, query) for c, query in pairs], query_row=model.nil_verifier)
-    scores, tapes = [], []
+    scores = []
     for (candidates, _), (rows, enc_tape) in zip(pairs, encoded):
         n = len(candidates.options)
         nil = hidden = None
         if model.nil_verifier:
             nil, hidden = nil_stage1(model, rows[n])
         probs = head_softmax(model.head, rows[:n])
-        scores.append(LocalScores(candidates.option_ids, probs, nil))
-        tapes.append(ScoreTape(enc_tape=enc_tape, pooled=rows, nil_hidden=hidden))
-    return scores, tapes
+        scores.append(LocalScores(candidates.option_ids, probs, nil, enc_tape, rows, hidden))
+    return scores
 
 
 def answer_loss(scores: LocalScores, gold_index: int) -> tuple[float, np.ndarray]:
@@ -414,7 +409,7 @@ def run_local_pass(
     call, and a mention without any is NIL."""
     candidates = [generate_candidates(index, m.surface, cfg.k, with_nil=model.nil_verifier) for m in text.mentions]
     pairs = [(c, build_query(text, m)) for m, c in zip(text.mentions, candidates) if c.options]
-    scored = iter(score_options(model, pairs)[0] if pairs else ())
+    scored = iter(score_options(model, pairs) if pairs else ())
     results = []
     for m, cands in zip(text.mentions, candidates):
         if not cands.options:
@@ -462,7 +457,7 @@ def training_candidates(
 
 def local_backward(
     model: LocalModel,
-    tape: ScoreTape,
+    scores: LocalScores,
     dlogits: np.ndarray,
     dlogit: float,
     cfg: RunConfig,
@@ -475,32 +470,32 @@ def local_backward(
 
     The head gradient goes into the option rows and the verifier-MLP gradient
     into the query row of one ``dpooled``, sent back in one encoder backward,
-    so the tape's encoder batch must hold this candidate set's rows alone.
+    so the encoder batch of ``scores`` must hold its set's rows alone.
     """
     n = len(dlogits)
-    doptions = head_backward(model.head, tape.pooled[:n], dlogits * cfg.alpha1, grads["head"])
-    dpooled = np.zeros_like(tape.pooled)
+    doptions = head_backward(model.head, scores.pooled[:n], dlogits * cfg.alpha1, grads["head"])
+    dpooled = np.zeros_like(scores.pooled)
     dpooled[:n] = doptions
-    hidden = tape.nil_hidden
+    hidden = scores.nil_hidden
     if hidden is not None:
         nil = grads["nil"]
         dlogit = dlogit * cfg.alpha2
         dpre = (1.0 - hidden * hidden) * (dlogit * model.nil["out_w"])
         nil["out_w"] += dlogit * hidden
         nil["out_b"] += dlogit
-        nil["hidden_w"] += np.outer(tape.pooled[n], dpre)
+        nil["hidden_w"] += np.outer(scores.pooled[n], dpre)
         nil["hidden_b"] += dpre
         dpooled[n] = model.nil["hidden_w"] @ dpre
-    enc.backprop_batch(tape.enc_tape, dpooled, grads["enc"])
+    enc.backprop_batch(scores.enc_tape, dpooled, grads["enc"])
 
 
-def _resolve_gold(m: Mention, kb: KnowledgeBase) -> Entity | None:
+def _resolve_gold(m: Mention, kb: KnowledgeBase, text_index: int) -> Entity | None:
     if m.gold is None:
-        raise ModelConfigError(f"mention {m.surface!r} has no gold label")
+        raise ModelConfigError(f"text {text_index}: mention {m.surface!r} has no gold label")
     if m.gold == NIL:
         return None
     if m.gold not in kb:
-        raise ModelConfigError(f"gold entity {m.gold!r} missing from the KB")
+        raise ModelConfigError(f"text {text_index}: gold entity {m.gold!r} missing from the KB")
     return kb.get(m.gold)
 
 
@@ -529,6 +524,7 @@ def train_local(
 ) -> tuple[LocalModel, list[dict]]:
     """Joint answer + NIL training over all mentions, one Adam step per mention.
 
+    Every trained mention's gold label is resolved before the first step.
     Gold entities absent from the generated candidates are injected. With the
     verifier disabled, unlinkable mentions are skipped (no defined target).
     Training stops after the first epoch whose accuracy reaches
@@ -538,16 +534,18 @@ def train_local(
     vocab = build_vocabulary(corpus, kb)
     econf = EncoderConfig(vocab_size=len(vocab), max_len=cfg.max_len_local, seed=cfg.seed, **asdict(cfg.encoder))
     model = LocalModel.init(econf, vocab, nil_verifier=cfg.nil_verifier)
-    units = [(text, m) for text in corpus for m in text.mentions if cfg.nil_verifier or m.gold != NIL]
+    units = [
+        (text, m, _resolve_gold(m, kb, i))
+        for i, text in enumerate(corpus) for m in text.mentions if cfg.nil_verifier or m.gold != NIL
+    ]
 
-    def step(unit: tuple[AnnotatedText, Mention], grads: np.ndarray, views: GradViews) -> StepResult:
-        text, mention = unit
-        gold_entity = _resolve_gold(mention, kb)
+    def step(unit: tuple[AnnotatedText, Mention, Entity | None], _: np.ndarray, views: GradViews) -> StepResult:
+        text, mention, gold_entity = unit
         cands, gold_index = training_candidates(index, mention.surface, gold_entity, cfg.k, cfg.nil_verifier)
-        [scores], [tape] = score_options(model, [(cands, build_query(text, mention))])
+        [scores] = score_options(model, [(cands, build_query(text, mention))])
         l_ans, dlogits = answer_loss(scores, gold_index)
         l_nil, dlogit = (0.0, 0.0) if scores.nil is None else nil_loss(scores.nil, gold_entity is not None)
-        local_backward(model, tape, dlogits, dlogit, cfg, views)
+        local_backward(model, scores, dlogits, dlogit, cfg, views)
         predicted, _ = local_predict(scores, cfg.nil_threshold, cfg.nil_override)
         return joint_local_loss(l_ans, l_nil, cfg), [(predicted, cands.option_ids[gold_index])]
 
@@ -592,9 +590,10 @@ def load_model(path: str, cls: type[M]) -> M:
     """Read a ``cls`` checkpoint.
 
     The file must hold exactly the tensor names and shapes of a fresh model
-    of its stored config and vocabulary; any mismatch, or a bad header,
-    raises ``ModelConfigError``. The shapes of the stored encoder tensors are
-    checked against the header's config before that model is allocated.
+    of its stored config and vocabulary, every value finite; any mismatch, a
+    bad header or a NaN or infinity raises ``ModelConfigError``. The shapes
+    of the stored encoder tensors are checked against the header's config
+    before that model is allocated.
     """
     header, tensors = enc.load_checkpoint(path)
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT or header.get("kind") != cls.KIND:
@@ -622,6 +621,9 @@ def load_model(path: str, cls: type[M]) -> M:
             f"{path}: tensors do not match the {cls.KIND} model: "
             f"missing {missing}, unexpected {extra}, wrong shape {wrong}"
         )
+    non_finite = [name for name, t in tensors.items() if not np.isfinite(t).all()]
+    if non_finite:
+        raise ModelConfigError(f"{path}: non-finite values in tensors {non_finite}")
     for name, p in model.parameters().items():
         p[...] = tensors[name]
     return model

@@ -244,18 +244,17 @@ class GlobalModel(Model):
 
 @dataclass
 class GlobalScores:
-    """Per-option global probabilities plus raw and fused option vectors."""
+    """Per-option global probabilities, raw and fused option vectors, and what
+    ``global_backward`` reads: the tape of the options' encoder batch and the
+    gate fusion (its ``current`` and ``fused`` are ``raw`` and ``fused``).
+    The last two are None outside ``global_score_mention``."""
 
     option_ids: tuple[str, ...]
     probs: np.ndarray
     raw: np.ndarray
     fused: np.ndarray
-
-
-@dataclass
-class GlobalTape:
-    enc_tape: EncoderTape
-    gate_fusion: GateFusion
+    enc_tape: EncoderTape | None = field(default=None, repr=False)
+    gate_fusion: GateFusion | None = field(default=None, repr=False)
 
 
 def encode_option_vector(model: GlobalModel, entity: Entity, query: str) -> np.ndarray:
@@ -269,13 +268,12 @@ def global_score_mention(
     candidates: CandidateSet,
     query: str,
     history: np.ndarray,
-) -> tuple[GlobalScores, GlobalTape]:
+) -> GlobalScores:
     """Encode options against the updated query, fuse with history, and softmax."""
     [(raw, tape)] = encode_sets(model, [(candidates.options, query)])
     fusion = gate_fuse_batch(raw, history, model.gate, model.gate_mode)
     probs = head_softmax(model.head, fusion.fused)
-    scores = GlobalScores(option_ids=candidates.option_ids, probs=probs, raw=raw, fused=fusion.fused)
-    return scores, GlobalTape(enc_tape=tape, gate_fusion=fusion)
+    return GlobalScores(candidates.option_ids, probs, fusion.current, fusion.fused, tape, fusion)
 
 
 def global_loss(scores: GlobalScores, gold_index: int) -> tuple[float, np.ndarray]:
@@ -283,12 +281,12 @@ def global_loss(scores: GlobalScores, gold_index: int) -> tuple[float, np.ndarra
     return enc.cross_entropy(scores.probs, gold_index)
 
 
-def global_backward(model: GlobalModel, tape: GlobalTape, dlogits: np.ndarray, grads: GradViews) -> np.ndarray:
+def global_backward(model: GlobalModel, scores: GlobalScores, dlogits: np.ndarray, grads: GradViews) -> np.ndarray:
     """Add the gradient through head, gate and encoder into ``grads``, the
     ``model.views`` of a vector, and return the history gradient."""
-    dfused = head_backward(model.head, tape.gate_fusion.fused, dlogits, grads["head"])
-    draw, dhistory = gate_backward(tape.gate_fusion, dfused, model.gate, grads["gate"])
-    enc.backprop_batch(tape.enc_tape, draw, grads["enc"])
+    dfused = head_backward(model.head, scores.fused, dlogits, grads["head"])
+    draw, dhistory = gate_backward(scores.gate_fusion, dfused, model.gate, grads["gate"])
+    enc.backprop_batch(scores.enc_tape, draw, grads["enc"])
     return dhistory
 
 
@@ -302,7 +300,7 @@ def walk_turns(
     options: Sequence[CandidateSet | None],
     pick: Callable[[int, GlobalScores | None], Entity | None],
     cfg: RunConfig,
-) -> list[tuple[GlobalScores, GlobalTape] | None]:
+) -> list[GlobalScores | None]:
     """Visit the mentions of ``text`` in ``order``, each turn reading the
     links of the turns before it; linking and teacher-forced training share
     this loop.
@@ -318,11 +316,11 @@ def walk_turns(
     NIL turn leaves the history unchanged and substitutes no name into later
     queries.
 
-    Returns each mention's global scores and tape, None where it was not scored.
+    Returns each mention's global scores, None where it was not scored.
     """
     history = np.zeros(model.config.d)
     linked: dict[Mention, Entity | None] = {}
-    walked: list[tuple[GlobalScores, GlobalTape] | None] = [None] * len(text.mentions)
+    walked: list[GlobalScores | None] = [None] * len(text.mentions)
     for turn, i in enumerate(order):
         mention, cands = text.mentions[i], options[i]
         if turn == 0:
@@ -333,8 +331,7 @@ def walk_turns(
             entity = None
         else:
             query = update_query(text, mention, {} if cfg.no_query_update else linked)
-            walked[i] = global_score_mention(model, cands, query, history)
-            scores = walked[i][0]
+            scores = walked[i] = global_score_mention(model, cands, query, history)
             entity = pick(i, scores)
             if entity is not None:
                 vectors = scores.fused if cfg.history_mode == "flow" else scores.raw
@@ -373,8 +370,7 @@ def run_multi_turn(
         selected = res.decide(None if scores is None else scores.probs)
         return None if selected == NIL else res.candidates.options[res.candidates.index_of(selected)]
 
-    walked = walk_turns(model, text, order, [r.candidates for r in local_results], pick, cfg)
-    return MultiTurnResult(order=order, global_scores=[None if w is None else w[0] for w in walked])
+    return MultiTurnResult(order, walk_turns(model, text, order, [r.candidates for r in local_results], pick, cfg))
 
 
 # ----------------------------- teacher-forced training -----------------------------
@@ -394,17 +390,18 @@ def train_global(
     as at link time; the config's ``nil_verifier`` is not read. Each text is
     walked with the gold entity as every turn's pick, then each scored turn
     is backpropagated in turn order; the mean of the per-turn losses makes
-    one Adam step, and a text that scores no turn makes none. Each turn's
-    history is held fixed (a stop-gradient): ``global_backward``'s history
-    gradient is dropped, so no gradient reaches the turn-0 seed encoding or
-    an earlier turn's fused vector. Every epoch runs: ``cfg.stop_accuracy``
-    is read by ``train_local`` only.
+    one Adam step, and a text that scores no turn makes none. Every gold
+    label is resolved before the first step. Each turn's history is held
+    fixed (a stop-gradient): ``global_backward``'s history gradient is
+    dropped, so no gradient reaches the turn-0 seed encoding or an earlier
+    turn's fused vector. Every epoch runs: ``cfg.stop_accuracy`` is read by
+    ``train_local`` only.
     """
     index = build_index(kb)
     model = GlobalModel.from_local(local_model, max_len=cfg.max_len_global, gate_mode=cfg.gate_mode)
     with_nil = local_model.nil_verifier
-    multi = [t for t in corpus if len(t.mentions) >= 2]
-    units = [(t, processing_order(run_local_pass(local_model, t, index, cfg), cfg)) for t in multi]
+    multi = [(t, [_resolve_gold(m, kb, i) for m in t.mentions]) for i, t in enumerate(corpus) if len(t.mentions) >= 2]
+    units = [(t, golds, processing_order(run_local_pass(local_model, t, index, cfg), cfg)) for t, golds in multi]
     # One turn's gradient, reused across turns and zeroed before each. Each
     # turn is backpropagated into it, then added to the text's sum as a
     # whole: backpropagating straight into the sum would round the
@@ -413,9 +410,8 @@ def train_global(
     turn_grads = np.empty_like(model.flat)
     turn_views = model.views(turn_grads)
 
-    def step(unit: tuple[AnnotatedText, tuple[int, ...]], grads: np.ndarray, _: GradViews) -> StepResult:
-        text, order = unit
-        golds = [_resolve_gold(m, kb) for m in text.mentions]
+    def step(unit: tuple[AnnotatedText, list, tuple[int, ...]], grads: np.ndarray, _: GradViews) -> StepResult:
+        text, golds, order = unit
         targets = [training_candidates(index, m.surface, g, cfg.k, with_nil) for m, g in zip(text.mentions, golds)]
         options = [None if t is None else t[0] for t in targets]
         walked = walk_turns(model, text, order, options, lambda i, _: golds[i], cfg)
@@ -423,11 +419,11 @@ def train_global(
         if not scored:
             return None
         losses, pairs = [], []
-        for (scores, tape), gold_index in scored:
+        for scores, gold_index in scored:
             loss, dlogits = global_loss(scores, gold_index)
             losses.append(loss)
             turn_grads.fill(0.0)
-            global_backward(model, tape, dlogits, turn_views)
+            global_backward(model, scores, dlogits, turn_views)
             grads += turn_grads
             pairs.append((scores.option_ids[int(np.argmax(scores.probs))], scores.option_ids[gold_index]))
         grads *= 1.0 / len(losses)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import RunConfig
 from .corpus import AnnotatedText, Mention
-from .errors import InputFormatError
+from .errors import InputFormatError, ModelConfigError
 from .jsonl import read_jsonl, typed, write_jsonl
 from .kb import AliasIndex, KnowledgeBase, build_index
 from .local import LocalModel, label_scores, run_local_pass
@@ -178,7 +178,13 @@ def evaluate(
 
 
 def save_decisions(decisions: Sequence[Sequence[LinkDecision]], path: str) -> None:
-    """Line-delimited JSON, one record per mention, in corpus order."""
+    """Line-delimited JSON, one record per mention, in corpus order. A score
+    that is not finite, which JSON cannot hold, raises ``ModelConfigError``
+    naming the first text that has one, before the file is opened."""
+    for ti, decs in enumerate(decisions):
+        scores = [v for d in decs for v in (d.local_probs, d.global_probs, d.fused_probs, d.nil_prob) if v is not None]
+        if not all(np.isfinite(v).all() for v in scores):
+            raise ModelConfigError(f"text {ti}: the models gave scores that are not finite")
     write_jsonl(path, (dec.to_record(ti) for ti, decs in enumerate(decisions) for dec in decs))
 
 

@@ -160,14 +160,14 @@ def test_criterion_2_gradient_suite():
 
             # NIL stage-1 BCE through the verifier MLP and encoder
             def nil_loss_fn():
-                [s], _ = score_options(model, [(cands, query)])
+                [s] = score_options(model, [(cands, query)])
                 return nil_loss(s.nil, True)[0]
 
-            [scores], [tape] = score_options(model, [(cands, query)])
+            [scores] = score_options(model, [(cands, query)])
             _, dlogit = nil_loss(scores.nil, True)
             nil_only = RunConfig(alpha1=0.0, alpha2=1.0)
             g = np.zeros_like(model.flat)
-            local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only, model.views(g))
+            local_backward(model, scores, np.zeros(len(cands.options)), dlogit, nil_only, model.views(g))
             nil_grads = model.named(g)
             n, bad = _fd_check(nil_loss_fn, model.parameters(), nil_grads, rng, cap=40)
             assert not bad, bad[:3]
@@ -175,16 +175,16 @@ def test_criterion_2_gradient_suite():
 
             # joint local loss through both paths
             def local_loss_fn():
-                [scores], _ = score_options(model, [(cands, query)])
+                [scores] = score_options(model, [(cands, query)])
                 l_ans, _ = answer_loss(scores, gold)
                 l_nil, _ = nil_loss(scores.nil, True)
                 return joint_local_loss(l_ans, l_nil, cfg)
 
-            [scores], [tape] = score_options(model, [(cands, query)])
+            [scores] = score_options(model, [(cands, query)])
             _, dl = answer_loss(scores, gold)
             _, dlogit = nil_loss(scores.nil, True)
             g = np.zeros_like(model.flat)
-            local_backward(model, tape, dl, dlogit, cfg, model.views(g))
+            local_backward(model, scores, dl, dlogit, cfg, model.views(g))
             grads = model.named(g)
             n, bad = _fd_check(local_loss_fn, model.parameters(), grads, rng, cap=60)
             assert not bad, bad[:3]
@@ -195,13 +195,13 @@ def test_criterion_2_gradient_suite():
             history = rng.normal(size=d)
 
             def global_loss_fn():
-                s, _ = global_score_mention(gmodel, cands, query, history)
+                s = global_score_mention(gmodel, cands, query, history)
                 return global_loss(s, gold)[0]
 
-            gscores, gtape = global_score_mention(gmodel, cands, query, history)
+            gscores = global_score_mention(gmodel, cands, query, history)
             _, gdl = global_loss(gscores, gold)
             g = np.zeros_like(gmodel.flat)
-            dhistory = global_backward(gmodel, gtape, gdl, gmodel.views(g))
+            dhistory = global_backward(gmodel, gscores, gdl, gmodel.views(g))
             n, bad = _fd_check(global_loss_fn, gmodel.parameters(), gmodel.named(g), rng, cap=60)
             assert not bad, bad[:3]
             total += n

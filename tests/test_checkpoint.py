@@ -115,6 +115,14 @@ def _float_pad_id(header, tensors):
     header["vocab"]["[PAD]"] = 0.5
 
 
+def _nan_head_weight(header, tensors):
+    tensors["head.score_w"][0] = np.nan
+
+
+def _inf_token_embedding(header, tensors):
+    tensors["enc.tok_emb"][-1, -1] = -np.inf
+
+
 MISTYPED = [_float_heads, _string_seed, _bool_depth, _float_pad_id]
 
 CORRUPTIONS = MISTYPED + [
@@ -128,6 +136,8 @@ CORRUPTIONS = MISTYPED + [
     _bad_setting,
     _huge_width,
     _huge_depth,
+    _nan_head_weight,
+    _inf_token_embedding,
 ]
 
 

@@ -1,21 +1,29 @@
 """Command-line workflow and exit-code tests."""
+import dataclasses
+import importlib
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
+from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mrclink
 from mrclink.cli import build_parser, main
-from mrclink.config import GATE_MODES, HISTORY_MODES
+from mrclink.config import GATE_MODES, HISTORY_MODES, EncoderSettings, RunConfig
 from mrclink.corpus import AnnotatedText, Mention, load_corpus, save_corpus
 from mrclink.encoder import EncoderConfig, load_checkpoint, save_checkpoint
-from mrclink.kb import load_kb
-from mrclink.local import LocalModel, build_vocabulary, save_model
+from mrclink.kb import NIL, KnowledgeBase, load_kb
+from mrclink.local import LocalModel, build_vocabulary, fit, save_model
+from mrclink.pipeline import LinkDecision, evaluate
 
 CFG = {
     "seed": 0,
@@ -300,12 +308,70 @@ def test_config_too_large_to_allocate_exits_2(workdir, tmp_path, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("command", ["train-local", "train-global"])
+def test_diverging_training_exits_2_naming_epoch_and_tensor(command, workdir, untrained_local, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CFG | {"lr_local" if command == "train-local" else "lr_global": 1e300}), encoding="utf-8")
+    argv = [
+        command, "--kb", str(workdir / "kb.jsonl"), "--corpus", str(workdir / "train.jsonl"), "--config", str(cfg),
+        "--out", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "m.log"),
+    ]
+    capsys.readouterr()
+    assert main(argv + (["--local-model", str(untrained_local)] if command == "train-global" else [])) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: epoch 0: non-finite gradient for 'enc.")
+    assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "m.log").exists()
+
+
+def test_link_with_overflowing_scores_exits_3_and_writes_nothing(workdir, tmp_path, capsys):
+    # one step at a rate of 1e300 leaves finite parameters whose scores overflow
+    corpus, cfg, out = tmp_path / "one.jsonl", tmp_path / "cfg.json", tmp_path / "dec.jsonl"
+    save_corpus([next(t for t in load_corpus(str(workdir / "train.jsonl")) if len(t.mentions) == 1)], str(corpus))
+    cfg.write_text(json.dumps(CFG | {"lr_local": 1e300, "epochs_local": 1}), encoding="utf-8")
+    kb = str(workdir / "kb.jsonl")
+    assert main([
+        "train-local", "--kb", kb, "--corpus", str(corpus), "--config", str(cfg), "--out", str(tmp_path / "m.ckpt"),
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "link", "--kb", kb, "--corpus", str(workdir / "test.jsonl"), "--local-model", str(tmp_path / "m.ckpt"),
+        "--config", str(cfg), "--out", str(out),
+    ]) == 3
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: text 0: ") and "not finite" in last
+    assert not out.exists()
+
+
 def test_readme_cli_block_names_every_command():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     documented = {line.split()[1] for line in block.splitlines() if line.startswith("mrclink ")}
     [sub] = [a for a in build_parser()._actions if a.dest == "command"]
     assert documented == set(sub.choices)
+
+
+def test_readme_names_only_what_exists():
+    # a backticked name with a dot or an underscore is an attribute of a
+    # mrclink module, a config field, or a key of a record the package writes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    names = {n for n in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)*)`", prose) if "." in n or "_" in n}
+    assert {"walk_turns", "local.fit", "MentionLocalResult.decide", "nil_prob"} <= names
+    modules = {m.name: importlib.import_module(f"mrclink.{m.name}") for m in pkgutil.iter_modules(mrclink.__path__)
+               if not m.name.startswith("_")} | {"mrclink": mrclink}
+
+    def exists(name):
+        first, *rest = name.split(".")
+        roots = [modules[first]] if first in modules else [getattr(m, first) for m in modules.values() if hasattr(m, first)]
+        return any(reduce(lambda obj, part: getattr(obj, part, None), rest, root) is not None for root in roots)
+
+    vocab = build_vocabulary([], KnowledgeBase([]))
+    model = LocalModel.init(EncoderConfig(vocab_size=len(vocab), max_len=8, d=2, n_layers=1, n_heads=1), vocab)
+    [epoch] = fit(model, [None], lambda *_: None, epochs=1, lr=0.0, warmup=0.0, seed=0)
+    decision = LinkDecision(Mention(0, 1, "a"), (), np.zeros(0), None, None, NIL, 0).to_record(0)
+    keys = {*epoch, *decision, *evaluate([], []).to_dict()}
+    fields = {f.name for cls in (RunConfig, EncoderSettings) for f in dataclasses.fields(cls)}
+    assert sorted(n for n in names if not exists(n) and n not in keys | fields) == []
 
 
 def test_eval_of_a_text_without_mentions_exits_0(workdir, untrained_local, tmp_path, capsys):

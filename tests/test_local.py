@@ -85,7 +85,7 @@ class TestSoftmaxScores:
         model = tiny_model(kb, corpus)
         same = Entity("x", "same name", "same words here", ("same",), 1)
         cands = CandidateSet("same", (same, same, same), includes_nil=False)
-        [scores], _ = score_options(model, [(cands, "what [MASK] does")])
+        [scores] = score_options(model, [(cands, "what [MASK] does")])
         np.testing.assert_allclose(scores.probs, 1.0 / 3.0, atol=1e-12)
 
     def test_probabilities_form_a_simplex(self):
@@ -93,7 +93,7 @@ class TestSoftmaxScores:
         model = tiny_model(kb, corpus)
         index = build_index(kb)
         cands = generate_candidates(index, "alpha", 5, with_nil=True)
-        [scores], _ = score_options(model, [(cands, "[MASK] kicks ball game")])
+        [scores] = score_options(model, [(cands, "[MASK] kicks ball game")])
         assert abs(scores.probs.sum() - 1.0) < 1e-9
         assert np.all(scores.probs > 0) and np.all(scores.probs < 1)
 
@@ -104,8 +104,8 @@ class TestSoftmaxScores:
         cands = CandidateSet("alpha", ents, includes_nil=False)
         perm = (2, 0, 1)
         shuffled = CandidateSet("alpha", tuple(ents[i] for i in perm), includes_nil=False)
-        [a], _ = score_options(model, [(cands, "[MASK] kicks ball game")])
-        [b], _ = score_options(model, [(shuffled, "[MASK] kicks ball game")])
+        [a] = score_options(model, [(cands, "[MASK] kicks ball game")])
+        [b] = score_options(model, [(shuffled, "[MASK] kicks ball game")])
         np.testing.assert_allclose(b.probs, a.probs[list(perm)], atol=1e-12)
         assert a.option_ids[int(np.argmax(a.probs))] == b.option_ids[int(np.argmax(b.probs))]
 
@@ -157,7 +157,7 @@ class TestNilVerifier:
         model = tiny_model(kb, corpus)
         model.nil["out_w"] = np.zeros_like(model.nil["out_w"])
         model.nil["out_b"] = np.zeros(1)
-        [scores], _ = score_options(model, [(alpha_cands(kb), "[MASK] kicks ball game")])
+        [scores] = score_options(model, [(alpha_cands(kb), "[MASK] kicks ball game")])
         assert scores.nil == pytest.approx(0.5, abs=1e-12)
 
     def test_saturated_logit(self):
@@ -165,7 +165,7 @@ class TestNilVerifier:
         model = tiny_model(kb, corpus)
         model.nil["out_w"] = np.zeros_like(model.nil["out_w"])
         model.nil["out_b"] = np.array([20.0])
-        [scores], _ = score_options(model, [(alpha_cands(kb), "[MASK] kicks ball game")])
+        [scores] = score_options(model, [(alpha_cands(kb), "[MASK] kicks ball game")])
         assert scores.nil > 0.9999
 
     def test_bce_values(self):
@@ -190,14 +190,14 @@ class TestNilVerifier:
         query = "[MASK] kicks ball game"
 
         def loss_fn():
-            [scores], _ = score_options(model, [(cands, query)])
+            [scores] = score_options(model, [(cands, query)])
             return nil_loss(scores.nil, True)[0]
 
-        [scores], [tape] = score_options(model, [(cands, query)])
+        [scores] = score_options(model, [(cands, query)])
         _, dlogit = nil_loss(scores.nil, True)
         nil_only = RunConfig(alpha1=0.0, alpha2=1.0)
         g = np.zeros_like(model.flat)
-        local_backward(model, tape, np.zeros(len(cands.options)), dlogit, nil_only, model.views(g))
+        local_backward(model, scores, np.zeros(len(cands.options)), dlogit, nil_only, model.views(g))
         grads = model.named(g)
         h = 1e-5
         for group, name in (("nil", "hidden_w"), ("nil", "hidden_b"), ("nil", "out_w"), ("nil", "out_b")):
@@ -286,16 +286,16 @@ class TestJointGradients:
         gold_index = 0
 
         def loss_fn():
-            [scores], _ = score_options(model, [(cands, query)])
+            [scores] = score_options(model, [(cands, query)])
             l_ans, _ = answer_loss(scores, gold_index)
             l_nil, _ = nil_loss(scores.nil, True)
             return joint_local_loss(l_ans, l_nil, cfg)
 
-        [scores], [tape] = score_options(model, [(cands, query)])
+        [scores] = score_options(model, [(cands, query)])
         _, dlogits = answer_loss(scores, gold_index)
         _, dlogit = nil_loss(scores.nil, True)
         g = np.zeros_like(model.flat)
-        local_backward(model, tape, dlogits, dlogit, cfg, model.views(g))
+        local_backward(model, scores, dlogits, dlogit, cfg, model.views(g))
         grads = model.named(g)
 
         rng = np.random.default_rng(0)
@@ -339,8 +339,8 @@ class TestQueryRowRidesAlong:
         plain = replace(model, nil_verifier=False)
         cands = alpha_cands(kb)
         for query in ("[MASK] kicks ball game", "what [MASK] does", "[MASK]"):
-            [with_row], _ = score_options(model, [(cands, query)])
-            [without], _ = score_options(plain, [(cands, query)])
+            [with_row] = score_options(model, [(cands, query)])
+            [without] = score_options(plain, [(cands, query)])
             assert with_row.probs.tobytes() == without.probs.tobytes()
             assert without.nil is None
 
@@ -349,7 +349,7 @@ class TestQueryRowRidesAlong:
         model = tiny_model(kb, corpus, seed=5)
         cands = alpha_cands(kb)
         for query in ("[MASK] kicks ball game", "alpha sings [MASK] tune", "[MASK]"):
-            [scores], _ = score_options(model, [(cands, query)])
+            [scores] = score_options(model, [(cands, query)])
             seq = assemble_query_sequence(tokenize(query, model.vocab), model.config.max_len)
             pooled, _ = enc.encode_batch(model.enc_params, model.config, np.array([seq]))
             alone, _ = nil_stage1(model, pooled[0])
@@ -420,7 +420,7 @@ class TestPerTextBatch:
             if not cands.options:
                 assert (r.scores.probs.size, r.scores.nil, r.selected, r.overridden) == (0, None, NIL, False)
                 continue
-            [alone], _ = score_options(model, [(cands, build_query(text, r.mention))])
+            [alone] = score_options(model, [(cands, build_query(text, r.mention))])
             assert r.scores.probs.tobytes() == alone.probs.tobytes()
             if nil_verifier:
                 assert np.float64(r.scores.nil).tobytes() == np.float64(alone.nil).tobytes()

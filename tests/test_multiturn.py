@@ -9,9 +9,9 @@ import pytest
 from mrclink.config import EncoderSettings, RunConfig
 from mrclink.corpus import AnnotatedText, Mention, build_query, update_query
 from mrclink.encoder import AdamState, EncoderConfig, softmax
-from mrclink.errors import InputFormatError
+from mrclink.errors import InputFormatError, ModelConfigError
 from mrclink.kb import NIL, CandidateSet, Entity, KnowledgeBase, build_index, generate_candidates
-from mrclink.local import LocalModel, build_vocabulary, run_local_pass
+from mrclink.local import LocalModel, Model, build_vocabulary, run_local_pass, train_local
 from mrclink.multiturn import (
     GlobalModel,
     _sigmoid,
@@ -277,8 +277,15 @@ class TestGlobalScoring:
         cfg, local, glob = make_models(kb, corpus)
         same = Entity("x", "same name", "same words", ("same",), 1)
         cands = CandidateSet("same", (same, same, same), includes_nil=False)
-        scores, _ = global_score_mention(glob, cands, "[MASK] here", np.zeros(8))
+        scores = global_score_mention(glob, cands, "[MASK] here", np.zeros(8))
         np.testing.assert_allclose(scores.probs, 1.0 / 3.0, atol=1e-12)
+
+    def test_raw_and_fused_are_the_fusion_arrays_themselves(self):
+        kb, corpus = multi_world()
+        _, _, glob = make_models(kb, corpus)
+        cands = generate_candidates(build_index(kb), "alpha", 5, with_nil=True)
+        scores = global_score_mention(glob, cands, "[MASK] meets beta", np.ones(8))
+        assert scores.raw is scores.gate_fusion.current and scores.fused is scores.gate_fusion.fused
 
     def test_suppressed_keep_gate_copies_history_and_scores_uniformly(self):
         kb, corpus = multi_world()
@@ -289,9 +296,9 @@ class TestGlobalScoring:
         glob.gate["keep_hist_w"] = -1e4 * np.eye(d)
         index = build_index(kb)
         cands = generate_candidates(index, "alpha", 5, with_nil=True)
-        scores, tape = global_score_mention(glob, cands, "[MASK] meets beta", history)
+        scores = global_score_mention(glob, cands, "[MASK] meets beta", history)
         for j in range(len(cands.options)):
-            np.testing.assert_allclose(tape.gate_fusion.fused[j], history, atol=1e-12)
+            np.testing.assert_allclose(scores.gate_fusion.fused[j], history, atol=1e-12)
         np.testing.assert_allclose(scores.probs, 1.0 / len(cands.options), atol=1e-12)
 
     def test_two_option_scores_match_straight_line_recomputation(self):
@@ -302,7 +309,7 @@ class TestGlobalScoring:
         rng = np.random.default_rng(8)
         history = rng.normal(size=8)
         query = "[MASK] meets beta here"
-        scores, _ = global_score_mention(glob, cands, query, history)
+        scores = global_score_mention(glob, cands, query, history)
 
         from mrclink import encoder as enc
         from mrclink.corpus import assemble_option_sequence, tokenize
@@ -346,13 +353,13 @@ class TestGlobalScoring:
         gold = 1
 
         def loss_fn():
-            scores, _ = global_score_mention(glob, cands, query, history)
+            scores = global_score_mention(glob, cands, query, history)
             return global_loss(scores, gold)[0]
 
-        scores, tape = global_score_mention(glob, cands, query, history)
+        scores = global_score_mention(glob, cands, query, history)
         _, dlogits = global_loss(scores, gold)
         g = np.zeros_like(glob.flat)
-        dhistory = global_backward(glob, tape, dlogits, glob.views(g))
+        dhistory = global_backward(glob, scores, dlogits, glob.views(g))
         grads = glob.named(g)
 
         h = 1e-5
@@ -431,7 +438,7 @@ class TestRunMultiTurn:
         res[first].selected = NIL
         mt = run_multi_turn(text, res, glob, cfg)
         query = update_query(text, text.mentions[second], {text.mentions[first]: None})
-        alone, _ = global_score_mention(glob, res[second].candidates, query, np.zeros(glob.config.d))
+        alone = global_score_mention(glob, res[second].candidates, query, np.zeros(glob.config.d))
         assert mt.global_scores[second].probs.tobytes() == alone.probs.tobytes()
 
     def test_overridden_scored_turns_link_nil_and_keep_their_scores(self):
@@ -450,7 +457,7 @@ class TestRunMultiTurn:
             assert dec.global_probs is not None and dec.fused_probs is not None
             assert dec.candidate_ids[int(np.argmax(dec.fused_probs))] != NIL  # the override decides, not the argmax
             cands = generate_candidates(index, mention.surface, cfg.k, with_nil=True)
-            alone, _ = global_score_mention(glob, cands, build_query(text, mention), np.zeros(glob.config.d))
+            alone = global_score_mention(glob, cands, build_query(text, mention), np.zeros(glob.config.d))
             assert dec.global_probs.tobytes() == alone.probs.tobytes()
 
     @pytest.mark.parametrize("no_rerank", [False, True])
@@ -580,7 +587,7 @@ class TestTrainGlobal:
 
         def scored(model, cands, query, history):
             out = score(model, cands, query, history)
-            turns.append((cands, query, out[1].gate_fusion.history.copy()))
+            turns.append((cands, query, out.gate_fusion.history.copy()))
             return out
 
         monkeypatch.setattr(multiturn, "walk_turns", lambda *args: walks.append(args) or walk(*args))
@@ -593,13 +600,13 @@ class TestTrainGlobal:
 
         def fixed_loss():
             return np.mean([
-                global_loss(score(model, cands, query, history)[0], cands.index_of(gold[cands.surface]))[0]
+                global_loss(score(model, cands, query, history), cands.index_of(gold[cands.surface]))[0]
                 for cands, query, history in fixed
             ])
 
         def live_loss():
             walked = walk(*walks[0])
-            return np.mean([global_loss(w[0], w[0].option_ids.index(gold[m.surface]))[0]
+            return np.mean([global_loss(w, w.option_ids.index(gold[m.surface]))[0]
                             for m, w in zip(text.mentions, walked) if w is not None])
 
         def central_difference(loss, i, h=1e-5):
@@ -637,6 +644,20 @@ class TestTrainGlobal:
         assert back.gate_mode == model.gate_mode
         for k, v in model.parameters().items():
             assert back.parameters()[k].tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("training", ["local", "global"])
+    def test_unknown_gold_fails_before_any_step(self, training, monkeypatch):
+        kb, corpus = multi_world()
+        cfg, local, _ = make_models(kb, corpus, epochs_local=3, epochs_global=3)
+        bad = AnnotatedText("alpha meets beta here", (Mention(0, 5, "alpha", "e1"), Mention(12, 16, "beta", "e404")))
+        steps = []
+        monkeypatch.setattr(Model, "step", lambda *args: steps.append(args))
+        with pytest.raises(ModelConfigError, match="text 3: gold entity 'e404' missing from the KB"):
+            if training == "local":
+                train_local(corpus + [bad], kb, cfg)
+            else:
+                train_global(corpus + [bad], kb, local, cfg)
+        assert steps == []
 
 
 def assert_flat_layout(model):
