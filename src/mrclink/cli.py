@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .config import RunConfig
 from .errors import InputFormatError, ModelConfigError
 from .kb import load_kb, save_kb
@@ -147,7 +149,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every non-finite value is refused where it is used; numpy's warnings only add noise
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (InputFormatError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

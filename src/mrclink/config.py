@@ -42,7 +42,6 @@ class RunConfig:
     epochs_global: int = 5
     stop_accuracy: float | None = None
     nil_verifier: bool = True
-    nil_override: bool = True
     no_rerank: bool = False
     no_query_update: bool = False
     gate_mode: str = "gated"
@@ -99,10 +98,6 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
         kwargs = dict(data)
-        if "K" in kwargs:
-            if "k" in kwargs:
-                raise InputFormatError("config may not set both 'K' and 'k'")
-            kwargs["k"] = kwargs.pop("K")
         unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
             raise InputFormatError(f"unknown config keys: {sorted(unknown)}")

@@ -45,9 +45,9 @@ ADAM_EPS = 1e-8
 class EncoderConfig:
     vocab_size: int
     max_len: int
-    d: int = 64
-    n_layers: int = 1
-    n_heads: int = 2
+    d: int
+    n_layers: int
+    n_heads: int
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -102,11 +102,11 @@ def init_params(config: EncoderConfig) -> dict[str, np.ndarray]:
 # ----------------------------- numeric primitives -----------------------------
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shift-stable softmax along ``axis``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Shift-stable softmax along the last axis."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def cross_entropy(probs: np.ndarray, target_index: int) -> tuple[float, np.ndarray]:

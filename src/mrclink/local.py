@@ -371,10 +371,10 @@ def joint_local_loss(ans: float, nil: float, cfg: RunConfig) -> float:
     return cfg.alpha1 * ans + cfg.alpha2 * nil
 
 
-def local_predict(scores: LocalScores, nil_threshold: float = 0.5, apply_override: bool = True) -> tuple[str, bool]:
-    """Argmax over option probabilities, and whether a confident unlinkable
-    judgement overrode it to NIL."""
-    if scores.nil is not None and apply_override and scores.nil < nil_threshold:
+def local_predict(scores: LocalScores, nil_threshold: float = 0.5) -> tuple[str, bool]:
+    """Argmax over option probabilities, and whether a linkable probability
+    below ``nil_threshold`` overrode it to NIL; a threshold of 0 never does."""
+    if scores.nil is not None and scores.nil < nil_threshold:
         return NIL, True
     return scores.option_ids[int(np.argmax(scores.probs))], False
 
@@ -417,7 +417,7 @@ def run_local_pass(
             results.append(MentionLocalResult(m, cands, empty, selected=NIL, overridden=False))
             continue
         scores = next(scored)
-        selected, overridden = local_predict(scores, cfg.nil_threshold, cfg.nil_override)
+        selected, overridden = local_predict(scores, cfg.nil_threshold)
         results.append(MentionLocalResult(m, cands, scores, selected, overridden))
     return results
 
@@ -491,7 +491,7 @@ def local_backward(
 
 def _resolve_gold(m: Mention, kb: KnowledgeBase, text_index: int) -> Entity | None:
     if m.gold is None:
-        raise ModelConfigError(f"text {text_index}: mention {m.surface!r} has no gold label")
+        raise InputFormatError(f"text {text_index}: mention {m.surface!r} has no gold label")
     if m.gold == NIL:
         return None
     if m.gold not in kb:
@@ -546,7 +546,7 @@ def train_local(
         l_ans, dlogits = answer_loss(scores, gold_index)
         l_nil, dlogit = (0.0, 0.0) if scores.nil is None else nil_loss(scores.nil, gold_entity is not None)
         local_backward(model, scores, dlogits, dlogit, cfg, views)
-        predicted, _ = local_predict(scores, cfg.nil_threshold, cfg.nil_override)
+        predicted, _ = local_predict(scores, cfg.nil_threshold)
         return joint_local_loss(l_ans, l_nil, cfg), [(predicted, cands.option_ids[gold_index])]
 
     logs = fit(

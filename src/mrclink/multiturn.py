@@ -400,8 +400,9 @@ def train_global(
     index = build_index(kb)
     model = GlobalModel.from_local(local_model, max_len=cfg.max_len_global, gate_mode=cfg.gate_mode)
     with_nil = local_model.nil_verifier
-    multi = [(t, [_resolve_gold(m, kb, i) for m in t.mentions]) for i, t in enumerate(corpus) if len(t.mentions) >= 2]
-    units = [(t, golds, processing_order(run_local_pass(local_model, t, index, cfg), cfg)) for t, golds in multi]
+    golds = [[_resolve_gold(m, kb, i) for m in t.mentions] for i, t in enumerate(corpus)]
+    multi = [(t, g) for t, g in zip(corpus, golds) if len(g) >= 2]
+    units = [(t, g, processing_order(run_local_pass(local_model, t, index, cfg), cfg)) for t, g in multi]
     # One turn's gradient, reused across turns and zeroed before each. Each
     # turn is backpropagated into it, then added to the text's sum as a
     # whole: backpropagating straight into the sum would round the

@@ -164,7 +164,7 @@ def evaluate(
             raise InputFormatError(f"text {i}: {len(decs)} decisions for {len(text.mentions)} mentions")
         for mention, dec in zip(text.mentions, decs):
             if mention.gold is None:
-                raise InputFormatError(f"mention {mention.surface!r} has no gold label")
+                raise InputFormatError(f"text {i}: mention {mention.surface!r} has no gold label")
             if dec.mention.span != mention.span:
                 raise InputFormatError("decision span does not match the corpus mention")
             per_count.setdefault(len(text.mentions), []).append((dec.selected, mention.gold))

@@ -29,6 +29,11 @@ from .kb import NIL, Entity, KnowledgeBase
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
+# planted texts per corpus text (NIL texts are drawn on top of them), senses
+# per ambiguous surface, and the chance that a text carries one rare word
+PLANTED_FRACTION = 0.4
+AMBIGUITY = 3
+RARE_WORD_RATE = 0.4
 
 
 @dataclass(frozen=True)
@@ -37,11 +42,8 @@ class SynthSpec:
     n_train_texts: int = 300
     n_test_texts: int = 150
     nil_rate: float = 0.15
-    planted_fraction: float = 0.4
-    ambiguity: int = 3
     n_topics: int = 8
     anchors_per_topic: int = 6
-    rare_word_rate: float = 0.4
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -49,17 +51,24 @@ class SynthSpec:
             raise ValueError("world sizes must be positive")
         if not 0.0 <= self.nil_rate < 1.0:
             raise ValueError("nil_rate must be in [0, 1)")
-        if self.ambiguity < 2:
-            raise ValueError("ambiguity must be >= 2")
-        if self.n_topics < self.ambiguity:
+        for corpus, n in (("train", self.n_train_texts), ("test", self.n_test_texts)):
+            if self.text_counts(n)[1] < 0:
+                raise ValueError(f"nil_rate {self.nil_rate} leaves no room for cue texts among {n} {corpus} texts")
+        if self.n_topics < AMBIGUITY:
             raise ValueError("need at least as many topics as the ambiguity degree")
         if self.anchors_per_topic < 2:
             raise ValueError("need at least two anchors per topic (train/test split)")
         n_anchor = self.n_topics * self.anchors_per_topic
         if n_anchor >= self.n_entities:
             raise ValueError("n_entities too small for the requested anchors")
-        if (self.n_entities - n_anchor) // self.ambiguity < 1:
+        if (self.n_entities - n_anchor) // AMBIGUITY < 1:
             raise ValueError("n_entities too small for any ambiguous surface")
+
+    def text_counts(self, n_texts: int) -> tuple[int, int, int]:
+        """The planted, cue and NIL text counts of a corpus of ``n_texts``."""
+        n_planted = int(round(PLANTED_FRACTION * n_texts))
+        n_nil = int(round(self.nil_rate * (1.0 + PLANTED_FRACTION) * n_texts))
+        return n_planted, n_texts - n_planted - n_nil, n_nil
 
 
 @dataclass
@@ -122,8 +131,8 @@ def generate_synthetic_world(spec: SynthSpec) -> SynthWorld:
     fillers = [wm.word() for _ in range(8)]
 
     n_anchor = spec.n_topics * spec.anchors_per_topic
-    n_amb_surfaces = (spec.n_entities - n_anchor) // spec.ambiguity
-    n_extra = spec.n_entities - n_anchor - n_amb_surfaces * spec.ambiguity
+    n_amb_surfaces = (spec.n_entities - n_anchor) // AMBIGUITY
+    n_extra = spec.n_entities - n_anchor - n_amb_surfaces * AMBIGUITY
 
     entities: list[Entity] = []
     eid = 0
@@ -147,7 +156,7 @@ def generate_synthetic_world(spec: SynthSpec) -> SynthWorld:
     amb_by_topic: dict[str, list[str]] = {t: [] for t in topics}
     for _ in range(n_amb_surfaces):
         surface = wm.word(3)
-        chosen = [topics[i] for i in rng.choice(spec.n_topics, size=spec.ambiguity, replace=False)]
+        chosen = [topics[i] for i in rng.choice(spec.n_topics, size=AMBIGUITY, replace=False)]
         amb_surfaces.append(surface)
         amb_entities[surface] = {}
         for t in chosen:
@@ -176,7 +185,7 @@ def generate_synthetic_world(spec: SynthSpec) -> SynthWorld:
     def noise_words(n_min: int, n_max: int) -> list[str]:
         n = int(rng.integers(n_min, n_max + 1))
         out = [pick(fillers) for _ in range(n)]
-        if rng.random() < spec.rare_word_rate:
+        if rng.random() < RARE_WORD_RATE:
             out[int(rng.integers(0, len(out)))] = wm.word(3)
         return out
 
@@ -211,11 +220,7 @@ def generate_synthetic_world(spec: SynthSpec) -> SynthWorld:
         return _make_text(words)
 
     def make_corpus(n_texts: int, anchor_pool) -> tuple[list[AnnotatedText], list[str]]:
-        n_planted = int(round(spec.planted_fraction * n_texts))
-        n_nil = int(round(spec.nil_rate * (1.0 + spec.planted_fraction) * n_texts))
-        n_cue = n_texts - n_planted - n_nil
-        if n_cue < 0:
-            raise ValueError("nil_rate and planted_fraction leave no room for cue texts")
+        n_planted, n_cue, n_nil = spec.text_counts(n_texts)
         kinds = ["planted"] * n_planted + ["cue"] * n_cue + ["nil"] * n_nil
         kinds = [kinds[i] for i in rng.permutation(len(kinds))]
         texts = []
@@ -239,7 +244,7 @@ def generate_synthetic_world(spec: SynthSpec) -> SynthWorld:
         "ambiguous_surfaces": amb_surfaces,
         "train_anchor_ids": sorted(e.id for lst in train_anchors.values() for e in lst),
         "test_anchor_ids": sorted(e.id for lst in test_anchors.values() for e in lst),
-        "ambiguity": spec.ambiguity,
+        "ambiguity": AMBIGUITY,
     }
     return SynthWorld(
         kb=kb, train=train, test=test, train_kinds=train_kinds, test_kinds=test_kinds, info=info

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from functools import reduce
 from pathlib import Path
 
@@ -122,6 +123,15 @@ def test_gen_synth_rejects_impossible_world(tmp_path, capsys):
         "--test-out", str(tmp_path / "te.jsonl"),
     ])
     assert rc == 2
+
+
+def test_gen_synth_nil_rate_without_room_for_cue_texts_exits_2(tmp_path, capsys):
+    # 120 planted and 210 NIL texts leave no room in a 300-text train corpus
+    outputs = [part for name in ("kb", "train", "test") for part in (f"--{name}-out", str(tmp_path / name))]
+    assert main(["gen-synth", "--nil-rate", "0.5", *outputs]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["input error: nil_rate 0.5 leaves no room for cue texts among 300 train texts"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("entities", [100, 8000])
@@ -254,6 +264,8 @@ BAD_INPUTS = {
     "config_not_utf8": ("--config", b'{"seed": "\xff"}'),
     "corpus_deep_nesting": ("--corpus", b"[" * 100_000 + b"\n"),
     "config_deep_nesting": ("--config", b"[" * 100_000),
+    "config_array": ("--config", b"[1, 2]"),
+    "config_uppercase_k": ("--config", json.dumps(CFG | {"K": 3}).encode("utf-8")),
 }
 BAD_CONFIGS = [
     {"encoder": {"d": 30, "n_heads": 4}},
@@ -340,6 +352,44 @@ def test_link_with_overflowing_scores_exits_3_and_writes_nothing(workdir, tmp_pa
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("error: text 0: ") and "not finite" in last
     assert not out.exists()
+
+
+def test_link_with_overflowing_scores_prints_one_line_and_no_warning(workdir, tmp_path, capsys):
+    corpus, cfg = tmp_path / "one.jsonl", tmp_path / "cfg.json"
+    save_corpus([next(t for t in load_corpus(str(workdir / "train.jsonl")) if len(t.mentions) == 1)], str(corpus))
+    cfg.write_text(json.dumps(CFG | {"lr_local": 1e300, "epochs_local": 1}), encoding="utf-8")
+    kb = str(workdir / "kb.jsonl")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([
+            "train-local", "--kb", kb, "--corpus", str(corpus), "--config", str(cfg), "--out", str(tmp_path / "m.ckpt"),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "link", "--kb", kb, "--corpus", str(workdir / "test.jsonl"), "--local-model", str(tmp_path / "m.ckpt"),
+            "--config", str(cfg), "--out", str(tmp_path / "dec.jsonl"),
+        ]) == 3
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("command", ["train-local", "eval"])
+def test_mention_without_gold_label_exits_2_naming_the_text(command, workdir, untrained_local, tmp_path, capsys):
+    texts = load_corpus(str(workdir / "train.jsonl"))[:2]
+    m = texts[1].mentions[0]
+    texts[1] = AnnotatedText(texts[1].text, (Mention(m.start, m.end, m.surface),) + texts[1].mentions[1:])
+    corpus, dec = tmp_path / "corpus.jsonl", tmp_path / "dec.jsonl"
+    save_corpus(texts, str(corpus))
+    common = ["--kb", str(workdir / "kb.jsonl"), "--corpus", str(corpus), "--config", str(workdir / "cfg.json")]
+    assert main(["link", *common, "--local-model", str(untrained_local), "--out", str(dec)]) == 0
+    capsys.readouterr()
+    argv = {
+        "train-local": ["train-local", *common, "--out", str(tmp_path / "m.ckpt")],
+        "eval": ["eval", "--corpus", str(corpus), "--decisions", str(dec)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: text 1: mention {m.surface!r} has no gold label\n"
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_readme_cli_block_names_every_command():
@@ -440,11 +490,11 @@ def corpus_lines(draw):
 @st.composite
 def config_lines(draw):
     cfg = {
-        "K": draw(st.integers(1, 4)),
+        "k": draw(st.integers(1, 4)),
         "alpha1": draw(st.floats(0.0, 1.0)),
         "alpha2": draw(st.floats(0.1, 1.0)),
         "beta": draw(st.floats(0.0, 1.0)),
-        "nil_threshold": draw(st.floats(0.0, 1.0)),
+        "nil_threshold": draw(st.just(0.0) | st.floats(0.0, 1.0)),
         "seed": draw(st.integers(0, 2**32)),
         "encoder": {"d": 8, "n_layers": draw(st.integers(1, 2)), "n_heads": draw(st.sampled_from([1, 2, 4, 8]))},
         "max_len_local": draw(st.integers(8, 64)),
@@ -457,9 +507,17 @@ def config_lines(draw):
         "stop_accuracy": draw(st.none() | st.floats(0.0, 1.0)),
         "gate_mode": draw(st.sampled_from(GATE_MODES)),
         "history_mode": draw(st.sampled_from(HISTORY_MODES)),
-        **{flag: draw(st.booleans()) for flag in ("nil_verifier", "nil_override", "no_rerank", "no_query_update")},
+        **{flag: draw(st.booleans()) for flag in ("nil_verifier", "no_rerank", "no_query_update")},
     }
     return [json.dumps(cfg).encode("utf-8")]
+
+
+@settings(max_examples=50, deadline=None)
+@given(lines=config_lines())
+def test_generated_configs_load(lines):
+    """The fuzz below links with the configs it draws, so each must load."""
+    [line] = lines
+    RunConfig.from_dict(json.loads(line))
 
 
 @settings(max_examples=50, deadline=None)

@@ -16,9 +16,9 @@ def test_defaults_match_documented_configuration():
     assert cfg.encoder == EncoderSettings(d=64, n_layers=1, n_heads=2)
 
 
-def test_file_round_trip_uses_uppercase_k(tmp_path):
+def test_file_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text('{"K": 7, "beta": 0.25, "no_rerank": true}', encoding="utf-8")
+    path.write_text('{"k": 7, "beta": 0.25, "no_rerank": true}', encoding="utf-8")
     assert RunConfig.from_file(str(path)) == RunConfig(k=7, beta=0.25, no_rerank=True)
 
 
@@ -27,7 +27,8 @@ def test_lowercase_k_accepted():
 
 
 def test_conflicting_k_keys_rejected():
-    with pytest.raises(InputFormatError):
+    # ``k`` is the only spelling: an uppercase ``K`` is an unknown key
+    with pytest.raises(InputFormatError, match="unknown config keys: \\['K'\\]"):
         RunConfig.from_dict({"K": 1, "k": 2})
 
 

@@ -386,7 +386,7 @@ class TestInit:
 
     def test_width_must_divide_heads(self):
         with pytest.raises(ValueError):
-            EncoderConfig(vocab_size=5, max_len=4, d=6, n_heads=4)
+            EncoderConfig(vocab_size=5, max_len=4, d=6, n_layers=1, n_heads=4)
 
 
 class TestAdam:

@@ -233,7 +233,7 @@ class TestLocalPredict:
     def test_stage_one_override(self):
         scores = LocalScores(("e1", "e2", NIL), np.array([0.8, 0.1, 0.1]), 0.2)
         assert local_predict(scores, nil_threshold=0.5) == (NIL, True)
-        assert local_predict(scores, nil_threshold=0.5, apply_override=False) == ("e1", False)
+        assert local_predict(scores, nil_threshold=0.0) == ("e1", False)
 
     def test_confident_judgement_keeps_argmax(self):
         scores = LocalScores(("e1", "e2", NIL), np.array([0.8, 0.1, 0.1]), 0.9)
@@ -426,7 +426,7 @@ class TestPerTextBatch:
                 assert np.float64(r.scores.nil).tobytes() == np.float64(alone.nil).tobytes()
             else:
                 assert r.scores.nil is None and alone.nil is None
-            assert (r.selected, r.overridden) == local_predict(alone, cfg.nil_threshold, cfg.nil_override)
+            assert (r.selected, r.overridden) == local_predict(alone, cfg.nil_threshold)
 
     def test_overflow_in_second_mention_raises_its_own_error(self):
         # 27 tokens: masking "alpha sport" leaves a 26-token query that fits

@@ -659,6 +659,22 @@ class TestTrainGlobal:
                 train_global(corpus + [bad], kb, local, cfg)
         assert steps == []
 
+    @pytest.mark.parametrize("n_mentions", [1, 2])
+    @pytest.mark.parametrize("training", ["local", "global"])
+    def test_missing_gold_is_an_input_error_before_any_step(self, training, n_mentions, monkeypatch):
+        # a one-mention text trains no global step, yet its labels are checked
+        kb, corpus = multi_world()
+        cfg, local, _ = make_models(kb, corpus)
+        bad = AnnotatedText("alpha meets beta here", (Mention(0, 5, "alpha", "e1"), Mention(12, 16, "beta"))[2 - n_mentions :])
+        steps = []
+        monkeypatch.setattr(Model, "step", lambda *args: steps.append(args))
+        with pytest.raises(InputFormatError, match="text 3: mention 'beta' has no gold label"):
+            if training == "local":
+                train_local(corpus + [bad], kb, cfg)
+            else:
+                train_global(corpus + [bad], kb, local, cfg)
+        assert steps == []
+
 
 def assert_flat_layout(model):
     """Every parameter tensor is a view of ``model.flat``, and they tile it in order."""

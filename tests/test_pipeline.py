@@ -1,5 +1,6 @@
 """Rear fusion, end-to-end linking, evaluation, and synthetic world tests."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -356,6 +357,16 @@ class TestDecisionsIO:
         with pytest.raises(InputFormatError, match=rf":1: bad decision record: .*{key}"):
             load_decisions(str(path), corpus)
 
+    def test_text_index_out_of_range_rejected(self, tmp_path):
+        kb, corpus, cfg, local, glob = pipeline_world()
+        path = tmp_path / "decisions.jsonl"
+        path.write_text(
+            '{"text": 0, "span": [0, 5], "selected": "e1"}\n{"text": 99, "span": [0, 5], "selected": "e1"}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(InputFormatError, match=rf"^{re.escape(str(path))}:2: .*text index 99 out of range"):
+            load_decisions(str(path), corpus)
+
     def test_absent_optional_fields_take_their_defaults(self, tmp_path):
         kb, corpus, cfg, local, glob = pipeline_world()
         path = tmp_path / "decisions.jsonl"
@@ -414,6 +425,13 @@ class TestSyntheticWorld:
         mentions = [m for t in world.train for m in t.mentions]
         share = sum(m.gold == NIL for m in mentions) / len(mentions)
         assert abs(share - 0.15) < 0.02
+
+    def test_nil_rate_without_room_for_cue_texts_rejected(self):
+        with pytest.raises(ValueError, match="nil_rate 0.5 leaves no room for cue texts among 300 train texts"):
+            SynthSpec(nil_rate=0.5)
+        # 60 planted and 94 NIL texts overfill the test corpus alone
+        with pytest.raises(ValueError, match="among 150 test texts"):
+            SynthSpec(n_train_texts=10, nil_rate=0.45)
 
     def test_gold_labels_resolve_in_kb(self):
         world = generate_synthetic_world(SynthSpec(n_entities=90, n_train_texts=60, n_test_texts=30, seed=2))
