@@ -15,7 +15,11 @@ it. Its keys and values still cover all T positions.
 
 Parameters must not change between a forward pass and its backward pass;
 independent sequences may be encoded in parallel, and gradient accumulation
-sums in a fixed order for bitwise reproducibility.
+sums in a fixed order for bitwise reproducibility. A backward adds each
+tensor's gradient into ``grads`` once, whole: ``backprop_batch`` sums each
+token's embedding rows in row order before adding them to the table. So a
+backward into a vector that already holds a sum gives bitwise that sum plus
+the same backward into zeros.
 """
 from __future__ import annotations
 
@@ -340,8 +344,13 @@ def backprop_batch(tape: EncoderTape, pooled_grad: np.ndarray, grads: Mapping[st
         dx = dk @ params[p + "wk"].T + dv @ params[p + "wv"].T     # (B, T, D)
         dx[:, :tq] += dq @ params[p + "wq"].T + dx_res
 
-    flat_ids = tape.ids.reshape(-1)
-    np.add.at(grads["tok_emb"], flat_ids, dx.reshape(-1, config.d))
+    # each token's rows summed into zeros in row order (bincount adds its
+    # weights one by one), then added to the table once
+    d, ids = config.d, tape.ids.reshape(-1)
+    tokens = np.flatnonzero(np.bincount(ids, minlength=config.vocab_size))
+    offsets = np.searchsorted(tokens, ids)[:, None] * d + np.arange(d)
+    rows = np.bincount(offsets.reshape(-1), weights=dx.reshape(-1), minlength=len(tokens) * d)
+    grads["tok_emb"][tokens] += rows.reshape(-1, d)
     grads["pos_emb"][:t] += dx.sum(axis=0)
 
 

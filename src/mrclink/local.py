@@ -13,13 +13,16 @@ softmaxes over its option rows and its verifier MLP reads its query row.
 Training scores one mention per batch and sends both gradients back through
 one encoder backward. Rows are encoded independently; the softmax couples a
 mention's options only at the end. Training sums gradients in a fixed order so
-a fixed seed reproduces bitwise-identical parameters.
+a fixed seed reproduces bitwise-identical parameters: every backward adds each
+tensor's gradient into the views it is given once, whole, so a step may send
+several backwards into one vector and get bitwise the sum of each run alone.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import chain
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -489,6 +492,15 @@ def local_backward(
     enc.backprop_batch(scores.enc_tape, dpooled, grads["enc"])
 
 
+@contextmanager
+def naming_text(text_index: int) -> Iterator[None]:
+    """Prefix ``text <i>: `` to an input error raised while training reads text ``i``."""
+    try:
+        yield
+    except InputFormatError as exc:
+        raise InputFormatError(f"text {text_index}: {exc}") from None
+
+
 def _resolve_gold(m: Mention, kb: KnowledgeBase, text_index: int) -> Entity | None:
     if m.gold is None:
         raise InputFormatError(f"text {text_index}: mention {m.surface!r} has no gold label")
@@ -535,14 +547,15 @@ def train_local(
     econf = EncoderConfig(vocab_size=len(vocab), max_len=cfg.max_len_local, seed=cfg.seed, **asdict(cfg.encoder))
     model = LocalModel.init(econf, vocab, nil_verifier=cfg.nil_verifier)
     units = [
-        (text, m, _resolve_gold(m, kb, i))
+        (i, text, m, _resolve_gold(m, kb, i))
         for i, text in enumerate(corpus) for m in text.mentions if cfg.nil_verifier or m.gold != NIL
     ]
 
-    def step(unit: tuple[AnnotatedText, Mention, Entity | None], _: np.ndarray, views: GradViews) -> StepResult:
-        text, mention, gold_entity = unit
+    def step(unit: tuple[int, AnnotatedText, Mention, Entity | None], _: np.ndarray, views: GradViews) -> StepResult:
+        i, text, mention, gold_entity = unit
         cands, gold_index = training_candidates(index, mention.surface, gold_entity, cfg.k, cfg.nil_verifier)
-        [scores] = score_options(model, [(cands, build_query(text, mention))])
+        with naming_text(i):
+            [scores] = score_options(model, [(cands, build_query(text, mention))])
         l_ans, dlogits = answer_loss(scores, gold_index)
         l_nil, dlogit = (0.0, 0.0) if scores.nil is None else nil_loss(scores.nil, gold_entity is not None)
         local_backward(model, scores, dlogits, dlogit, cfg, views)

@@ -31,6 +31,7 @@ from .local import (
     head_backward,
     head_softmax,
     init_head,
+    naming_text,
     run_local_pass,
     training_candidates,
 )
@@ -389,33 +390,33 @@ def train_global(
     ``nil_verifier`` decides whether the training sets carry the NIL option,
     as at link time; the config's ``nil_verifier`` is not read. Each text is
     walked with the gold entity as every turn's pick, then each scored turn
-    is backpropagated in turn order; the mean of the per-turn losses makes
-    one Adam step, and a text that scores no turn makes none. Every gold
-    label is resolved before the first step. Each turn's history is held
-    fixed (a stop-gradient): ``global_backward``'s history gradient is
-    dropped, so no gradient reaches the turn-0 seed encoding or an earlier
-    turn's fused vector. Every epoch runs: ``cfg.stop_accuracy`` is read by
-    ``train_local`` only.
+    is backpropagated, in turn order, straight into the step's one gradient
+    vector; the mean of the per-turn losses makes one Adam step, and a text
+    that scores no turn makes none. Every gold label is resolved before the
+    first step, and an input error in a text's rows names the text. Each
+    turn's history is held fixed (a stop-gradient): ``global_backward``'s
+    history gradient is dropped, so no gradient reaches the turn-0 seed
+    encoding or an earlier turn's fused vector. Every epoch runs:
+    ``cfg.stop_accuracy`` is read by ``train_local`` only.
     """
     index = build_index(kb)
     model = GlobalModel.from_local(local_model, max_len=cfg.max_len_global, gate_mode=cfg.gate_mode)
     with_nil = local_model.nil_verifier
     golds = [[_resolve_gold(m, kb, i) for m in t.mentions] for i, t in enumerate(corpus)]
-    multi = [(t, g) for t, g in zip(corpus, golds) if len(g) >= 2]
-    units = [(t, g, processing_order(run_local_pass(local_model, t, index, cfg), cfg)) for t, g in multi]
-    # One turn's gradient, reused across turns and zeroed before each. Each
-    # turn is backpropagated into it, then added to the text's sum as a
-    # whole: backpropagating straight into the sum would round the
-    # ``tok_emb`` rows, which ``backprop_batch`` adds one at a time,
-    # differently on a text with two or more scored turns.
-    turn_grads = np.empty_like(model.flat)
-    turn_views = model.views(turn_grads)
+    units = []
+    for i, (text, g) in enumerate(zip(corpus, golds)):
+        if len(g) >= 2:
+            with naming_text(i):
+                units.append((i, text, g, processing_order(run_local_pass(local_model, text, index, cfg), cfg)))
 
-    def step(unit: tuple[AnnotatedText, list, tuple[int, ...]], grads: np.ndarray, _: GradViews) -> StepResult:
-        text, golds, order = unit
+    def step(
+        unit: tuple[int, AnnotatedText, list, tuple[int, ...]], grads: np.ndarray, views: GradViews
+    ) -> StepResult:
+        text_index, text, golds, order = unit
         targets = [training_candidates(index, m.surface, g, cfg.k, with_nil) for m, g in zip(text.mentions, golds)]
         options = [None if t is None else t[0] for t in targets]
-        walked = walk_turns(model, text, order, options, lambda i, _: golds[i], cfg)
+        with naming_text(text_index):
+            walked = walk_turns(model, text, order, options, lambda i, _: golds[i], cfg)
         scored = [(walked[i], targets[i][1]) for i in order if walked[i] is not None]
         if not scored:
             return None
@@ -423,9 +424,7 @@ def train_global(
         for scores, gold_index in scored:
             loss, dlogits = global_loss(scores, gold_index)
             losses.append(loss)
-            turn_grads.fill(0.0)
-            global_backward(model, scores, dlogits, turn_views)
-            grads += turn_grads
+            global_backward(model, scores, dlogits, views)
             pairs.append((scores.option_ids[int(np.argmax(scores.probs))], scores.option_ids[gold_index]))
         grads *= 1.0 / len(losses)
         return float(np.mean(losses)), pairs

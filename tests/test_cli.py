@@ -223,6 +223,30 @@ def test_overlong_text_does_not_stop_the_corpus(workdir, untrained_local, tmp_pa
     assert capsys.readouterr().err == "input error: text 0: 0 decisions for 1 mentions\n"
 
 
+@pytest.mark.parametrize("command,fillers,max_len_global", [
+    ("train-local", 60, 48),
+    ("train-global", 60, 48),  # too long for the local pass that orders the turns
+    ("train-global", 20, 16),  # fits the local model, too long for a global turn
+])
+def test_overlong_training_text_exits_2_naming_the_text(
+    command, fillers, max_len_global, workdir, untrained_local, tmp_path, capsys
+):
+    train = load_corpus(str(workdir / "train.jsonl"))
+    short = next(t for t in train if len(t.mentions) == 1)
+    long = next(t for t in train if len(t.mentions) >= 2)
+    long = AnnotatedText(long.text + " filler" * fillers, long.mentions)
+    corpus, cfg, out = tmp_path / "corpus.jsonl", tmp_path / "cfg.json", tmp_path / "m.ckpt"
+    save_corpus([short, long], str(corpus))
+    cfg.write_text(json.dumps(CFG | {"max_len_global": max_len_global}), encoding="utf-8")
+    argv = [command, "--kb", str(workdir / "kb.jsonl"), "--corpus", str(corpus), "--config", str(cfg)]
+    if command == "train-global":
+        argv += ["--local-model", str(untrained_local)]
+    assert main([*argv, "--out", str(out)]) == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("input error: text 1: ") and err.endswith(f"max_len={max_len_global}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flag", [("eval", "--corpus"), ("link", "--out"), ("link", "--local-model")])
 def test_directory_for_a_file_exits_2(command, flag, workdir, untrained_local, tmp_path, capsys):
     args = {

@@ -193,6 +193,22 @@ class TestBackprop:
                 fd = fd_grad(loss_fn, arr, i)
                 assert grad_close(fd, analytic[i]), (name, i, fd, analytic[i])
 
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_backward_into_a_sum_adds_a_backward_into_zeros(self, seed, n_layers):
+        # 40 ids over 12 tokens repeat, so several rows land on one tok_emb row
+        cfg = EncoderConfig(vocab_size=12, max_len=10, d=8, n_layers=n_layers, n_heads=2, seed=seed)
+        params = init_params(cfg)
+        rng = np.random.default_rng(seed + 70)
+        _, tape = encode_batch(params, cfg, rng.integers(0, 12, size=(4, 10)))
+        pooled_grad = rng.normal(size=(4, 8))
+        held = {name: rng.normal(size=p.shape) for name, p in params.items()}
+        grads = {name: g.copy() for name, g in held.items()}
+        backprop_batch(tape, pooled_grad, grads)
+        fresh = backprop(tape, pooled_grad)
+        for name in params:
+            assert grads[name].tobytes() == (held[name] + fresh[name]).tobytes(), name
+
     def test_mismatched_pooled_grad_shape_rejected(self):
         cfg = EncoderConfig(vocab_size=9, max_len=8, d=8, n_layers=1, n_heads=2)
         params = init_params(cfg)

@@ -1,6 +1,7 @@
-"""Training reuses one gradient vector per model across steps, and that
-changes no bit: against a reference where every backward call fills a
-new zero vector, parameters and logs are bitwise equal."""
+"""Training reuses one gradient vector per model across steps, and every
+backward adds into it: against a reference where every backward call fills
+a new zero vector that is then added into the caller's, parameters and logs
+are bitwise equal."""
 from dataclasses import replace
 
 import numpy as np
@@ -47,7 +48,7 @@ def joined_world():
 
 
 def allocating(backward):
-    """``backward`` run into a new zero vector on every call, then copied
+    """``backward`` run into a new zero vector on every call, then added
     into the caller's trailing ``grads`` views."""
 
     def run(model, *args):
@@ -56,7 +57,7 @@ def allocating(backward):
         result = backward(model, *args, fresh)
         for prefix, group in fresh.items():
             for name, g in group.items():
-                np.copyto(grads[prefix][name], g)
+                grads[prefix][name] += g
         return result
 
     return run
@@ -89,9 +90,7 @@ def test_train_local_reuses_its_gradient_vector_bitwise(joined_world, monkeypatc
     assert_reuse_is_bitwise(monkeypatch, local, "local_backward", lambda: local.train_local(corpus, kb, cfg))
 
 
-def test_train_global_reuses_its_turn_vector_bitwise(joined_world, monkeypatch):
-    # several scored turns per text: each turn's gradient must be summed as
-    # a whole vector, as the reference sums it
+def test_train_global_reuses_its_gradient_vector_bitwise(joined_world, monkeypatch):
     kb, corpus, cfg = joined_world
     lm, _ = local.train_local(corpus, kb, cfg)
     assert_reuse_is_bitwise(
