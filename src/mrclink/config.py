@@ -7,6 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .corpus import MIN_MAX_LEN
 from .encoder import EncoderConfig
 from .errors import InputFormatError
 from .jsonl import finite
@@ -79,8 +80,8 @@ class RunConfig:
             raise InputFormatError(f"gate_mode must be one of {GATE_MODES}")
         if self.history_mode not in HISTORY_MODES:
             raise InputFormatError(f"history_mode must be one of {HISTORY_MODES}")
-        if min(self.max_len_local, self.max_len_global) < 8:
-            raise InputFormatError("max_len_local and max_len_global must be >= 8")
+        if min(self.max_len_local, self.max_len_global) < MIN_MAX_LEN:
+            raise InputFormatError(f"max_len_local and max_len_global must be >= {MIN_MAX_LEN}")
         if min(self.seed, self.epochs_local, self.epochs_global, self.lr_local, self.lr_global) < 0:
             raise InputFormatError("seed, epochs_local, epochs_global, lr_local and lr_global must be >= 0")
         try:

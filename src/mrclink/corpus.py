@@ -20,6 +20,7 @@ from .kb import NIL, Entity
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = 0, 1, 2, 3, 4
 RESERVED_TOKENS = {PAD: PAD_ID, UNK: UNK_ID, CLS: CLS_ID, SEP: SEP_ID, MASK: MASK_ID}
+MIN_MAX_LEN = 8  # the least max_len an option sequence may be assembled under
 
 _SPECIAL_RE = re.compile(r"(\[PAD\]|\[UNK\]|\[CLS\]|\[SEP\]|\[MASK\])")
 
@@ -44,15 +45,17 @@ def split_tokens(text: str) -> list[str]:
 
 
 class Vocabulary:
-    """Token -> id mapping with fixed reserved ids for the special tokens."""
+    """Token -> id mapping with fixed reserved ids for the special tokens.
+
+    The ids must run from 0 to the size minus one, so each token has its own
+    id and every id indexes an embedding row; else ``InputFormatError``."""
 
     def __init__(self, token_to_id: Mapping[str, int]):
         for tok, want in RESERVED_TOKENS.items():
             if token_to_id.get(tok) != want:
                 raise InputFormatError(f"vocabulary must map {tok} to {want}")
-        ids = list(token_to_id.values())
-        if len(set(ids)) != len(ids):
-            raise InputFormatError("vocabulary mapping must be injective")
+        if set(token_to_id.values()) != set(range(len(token_to_id))):
+            raise InputFormatError("vocabulary ids must run from 0 to its size minus one")
         self._token_to_id = dict(token_to_id)
         self._kb_ids: dict[str, tuple[int, ...]] = {}
 
@@ -172,8 +175,8 @@ def assemble_option_sequence(
     Tokens come off the end of the description until the sequence fits
     ``max_len``; the query and option are never shortened.
     """
-    if max_len < 8:
-        raise ValueError("max_len must be >= 8")
+    if max_len < MIN_MAX_LEN:
+        raise ValueError(f"max_len must be >= {MIN_MAX_LEN}")
     budget = max_len - 4 - len(query) - len(option_name)
     if budget < 0:
         raise SequenceOverflowError(

@@ -446,7 +446,8 @@ def save_checkpoint(path: str, header: dict, tensors: Mapping[str, np.ndarray]) 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a ``save_checkpoint`` file. A record that claims more bytes than
-    the file has left raises ``ModelConfigError`` before anything is read."""
+    the file has left raises ``ModelConfigError`` before anything is read, and
+    so does a second record of one name."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
@@ -468,6 +469,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             while fh.tell() < size:
                 (name_len,) = struct.unpack("<I", take(4))
                 name = take(name_len).decode("utf-8")
+                if name in tensors:
+                    raise ModelConfigError(f"{path}: duplicated tensor record {name!r}")
                 (ndim,) = struct.unpack("<I", take(4))
                 shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
                 raw = take(math.prod(shape) * 8, f"tensor {name!r}")

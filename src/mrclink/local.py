@@ -29,6 +29,7 @@ import numpy as np
 from . import encoder as enc
 from .config import RunConfig
 from .corpus import (
+    MIN_MAX_LEN,
     PAD_ID,
     AnnotatedText,
     Mention,
@@ -74,28 +75,35 @@ class LocalScores:
     nil_hidden: np.ndarray | None = field(default=None, repr=False)
 
 
+Shapes = dict[str, tuple[int, ...]]  # tensor shapes by name
+M = TypeVar("M", bound="Model")
+
+
 @dataclass
 class Model:
     """Base of the local and global models: an encoder and the tensors on top
     of it, held as named parameter groups that all live in one vector.
 
-    ``GROUPS`` maps each parameter-name prefix to the attribute holding that
-    group, in declaration order. ``flat`` is one float64 vector that holds
-    every parameter in that order, each group's tensors in their own order;
-    that is also the tensor order of ``parameters()`` and of a checkpoint.
-    Every tensor of every group is a reshaped view of ``flat``, so one
-    in-place optimizer step on ``flat`` (``step``) updates them all. ``views``
-    is the one place that knows the offsets; gradient vectors share the
-    layout and are split by it (or by name, through ``named``) too.
-    Constructing a model copies the given tensors into a new ``flat``, so two
-    models never share parameters.
+    ``TABLE`` declares each group above the encoder once: the seed offset of
+    the generator ``fresh`` draws it from, and its tensor shapes for a width
+    ``d``. ``flat`` is one float64 vector that holds every parameter, the
+    ``enc`` group's and then the table's in order, each group's tensors in
+    their own order; ``shapes`` lists them without allocating, and that is
+    also the tensor order of ``parameters()`` and of a checkpoint. Every
+    tensor is a reshaped view of ``flat``, so one in-place optimizer step on
+    ``flat`` (``step``) updates them all. ``views`` is the one place that
+    knows the offsets; gradient vectors share the layout and are split by it
+    (or by name, through ``named``) too. Constructing a model copies the
+    given tensors into a new ``flat``, so two models never share parameters;
+    a config whose ``vocab_size`` is not the vocabulary's size, or whose
+    ``max_len`` is below ``MIN_MAX_LEN``, raises ``ModelConfigError``.
 
     A checkpoint header stores ``KIND`` and the ``SETTINGS`` flags next to the
     config and vocabulary.
     """
 
     KIND: ClassVar[str]
-    GROUPS: ClassVar[dict[str, str]]
+    TABLE: ClassVar[dict[str, tuple[int, Callable[[int], Shapes]]]]
     SETTINGS: ClassVar[tuple[str, ...]]
 
     config: EncoderConfig
@@ -104,17 +112,42 @@ class Model:
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.config.vocab_size != len(self.vocab):
+            raise ModelConfigError("encoder vocab_size must match the vocabulary")
+        if self.config.max_len < MIN_MAX_LEN:
+            raise ModelConfigError(f"encoder max_len {self.config.max_len} is below {MIN_MAX_LEN}")
         self.flat = np.concatenate([np.ravel(t) for t in self.parameters().values()], dtype=np.float64)
         for prefix, group in self.views(self.flat).items():
-            setattr(self, self.GROUPS[prefix], group)
+            setattr(self, "enc_params" if prefix == "enc" else prefix, group)
+
+    @classmethod
+    def shapes(cls, config: EncoderConfig) -> Shapes:
+        """Every tensor's shape by ``<group>.<name>``, in ``flat`` order."""
+        groups = {"enc": enc.param_shapes(config)} | {p: shapes(config.d) for p, (_, shapes) in cls.TABLE.items()}
+        return {f"{prefix}.{name}": shape for prefix, group in groups.items() for name, shape in group.items()}
+
+    @classmethod
+    def fresh(
+        cls: type[M], config: EncoderConfig, vocab: Vocabulary, enc_params: dict[str, np.ndarray], **settings
+    ) -> M:
+        """A model over ``enc_params`` with every ``TABLE`` group drawn by
+        ``draw``; the groups of one offset draw in order from one generator,
+        seeded with ``config.seed`` plus the offset."""
+        rngs = {offset: np.random.default_rng(config.seed + offset) for offset, _ in cls.TABLE.values()}
+        groups = {p: draw(shapes(config.d), rngs[offset], config.d) for p, (offset, shapes) in cls.TABLE.items()}
+        return cls(config=config, vocab=vocab, enc_params=enc_params, **groups, **settings)
+
+    def groups(self) -> dict[str, dict[str, np.ndarray]]:
+        """Every parameter group by prefix, in ``flat`` order."""
+        return {"enc": self.enc_params} | {prefix: getattr(self, prefix) for prefix in self.TABLE}
 
     def views(self, vec: np.ndarray) -> GradViews:
         """Split a vector laid out like ``flat`` into ``{prefix: {name: view}}``."""
         out: GradViews = {}
         at = 0
-        for prefix, attr in self.GROUPS.items():
+        for prefix, group in self.groups().items():
             out[prefix] = {}
-            for name, t in getattr(self, attr).items():
+            for name, t in group.items():
                 out[prefix][name] = vec[at : at + t.size].reshape(t.shape)
                 at += t.size
         return out
@@ -125,9 +158,7 @@ class Model:
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Every tensor by ``<group>.<name>``, in the order of ``flat``."""
-        return {
-            f"{prefix}.{k}": v for prefix, attr in self.GROUPS.items() for k, v in getattr(self, attr).items()
-        }
+        return {f"{prefix}.{k}": v for prefix, group in self.groups().items() for k, v in group.items()}
 
     def step(self, grads: np.ndarray, adam: enc.AdamState, lr: float, warmup_steps: int) -> None:
         """One in-place ``adam_step`` of ``flat``; a non-finite gradient raises
@@ -214,18 +245,21 @@ def label_scores(pairs: Sequence[tuple[str, str]]) -> dict:
     }
 
 
-def check_vocab(config: EncoderConfig, vocab: Vocabulary) -> None:
-    """Token ids must index the embedding rows one to one."""
-    if config.vocab_size != len(vocab):
-        raise ModelConfigError("encoder vocab_size must match the vocabulary")
-    if set(vocab.to_dict().values()) != set(range(len(vocab))):
-        raise ModelConfigError("vocabulary ids must run from 0 to its size minus one")
-
-
-def init_head(rng: np.random.Generator, d: int) -> dict[str, np.ndarray]:
-    """Option-scoring head: one logit per pooled option vector."""
+def draw(shapes: Shapes, rng: np.random.Generator, d: int) -> dict[str, np.ndarray]:
+    """Fresh tensors of ``shapes``: each ``_w`` tensor uniform in +-1/sqrt(d),
+    drawn from ``rng`` in order, every other tensor zero."""
     bound = 1.0 / np.sqrt(d)
-    return {"score_w": rng.uniform(-bound, bound, d), "score_b": np.zeros(1)}
+    return {n: rng.uniform(-bound, bound, s) if n.endswith("_w") else np.zeros(s) for n, s in shapes.items()}
+
+
+def head_shapes(d: int) -> Shapes:
+    """Option-scoring head: one logit per pooled option vector."""
+    return {"score_w": (d,), "score_b": (1,)}
+
+
+def nil_shapes(d: int) -> Shapes:
+    """NIL-verifier MLP: one tanh hidden layer, one linkable logit."""
+    return {"hidden_w": (d, d), "hidden_b": (d,), "out_w": (d,), "out_b": (1,)}
 
 
 @dataclass
@@ -233,7 +267,7 @@ class LocalModel(Model):
     """Encoder plus the option-scoring head and NIL-verifier MLP."""
 
     KIND = "local"
-    GROUPS = {"enc": "enc_params", "head": "head", "nil": "nil"}
+    TABLE = {"head": (1_000_003, head_shapes), "nil": (1_000_003, nil_shapes)}
     SETTINGS = ("nil_verifier",)
 
     head: dict[str, np.ndarray]
@@ -242,25 +276,8 @@ class LocalModel(Model):
 
     @classmethod
     def init(cls, config: EncoderConfig, vocab: Vocabulary, nil_verifier: bool = True) -> "LocalModel":
-        check_vocab(config, vocab)
-        d = config.d
-        rng = np.random.default_rng(config.seed + 1_000_003)
-        bound = 1.0 / np.sqrt(d)
-        head = init_head(rng, d)
-        nil = {
-            "hidden_w": rng.uniform(-bound, bound, (d, d)),
-            "hidden_b": np.zeros(d),
-            "out_w": rng.uniform(-bound, bound, d),
-            "out_b": np.zeros(1),
-        }
-        return cls(
-            config=config,
-            vocab=vocab,
-            enc_params=enc.init_params(config),
-            head=head,
-            nil=nil,
-            nil_verifier=nil_verifier,
-        )
+        """A fresh model: an ``enc.init_params`` encoder, head and verifier drawn by ``fresh``."""
+        return cls.fresh(config, vocab, enc.init_params(config), nil_verifier=nil_verifier)
 
 
 def encode_sets(
@@ -571,9 +588,6 @@ def train_local(
 
 # ----------------------------- checkpoint I/O -----------------------------
 
-M = TypeVar("M", bound=Model)
-
-
 def save_model(model: Model, path: str) -> None:
     header = {
         "format": CHECKPOINT_FORMAT,
@@ -585,28 +599,14 @@ def save_model(model: Model, path: str) -> None:
     enc.save_checkpoint(path, header, model.parameters())
 
 
-def _check_encoder_shapes(path: str, config: EncoderConfig, tensors: Mapping[str, np.ndarray]) -> None:
-    """Every stored ``enc.`` tensor must have the name and shape the header's
-    config gives it, checked before a model of that config is allocated."""
-    found = {name: t.shape for name, t in tensors.items() if name.startswith("enc.")}
-    expected = {}
-    if config.n_layers <= len(found):  # every block stores tensors; a deeper config is not listed out
-        expected = {f"enc.{name}": shape for name, shape in enc.param_shapes(config).items()}
-    if found != expected:
-        wrong = sorted(n for n in expected.keys() | found.keys() if expected.get(n) != found.get(n))
-        raise ModelConfigError(
-            f"{path}: encoder config {config.to_dict()} does not match the stored embeddings and blocks: {wrong}"
-        )
-
-
 def load_model(path: str, cls: type[M]) -> M:
     """Read a ``cls`` checkpoint.
 
-    The file must hold exactly the tensor names and shapes of a fresh model
-    of its stored config and vocabulary, every value finite; any mismatch, a
-    bad header or a NaN or infinity raises ``ModelConfigError``. The shapes
-    of the stored encoder tensors are checked against the header's config
-    before that model is allocated.
+    The stored tensor names and shapes must be ``cls.shapes`` of the header's
+    config, compared once before any model is built, and every value must be
+    finite; the model is then built from the stored tensors in table order.
+    A bad header, a mismatch, a duplicated record, a NaN or infinity, or a
+    config that no model accepts raises ``ModelConfigError``.
     """
     header, tensors = enc.load_checkpoint(path)
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT or header.get("kind") != cls.KIND:
@@ -620,23 +620,27 @@ def load_model(path: str, cls: type[M]) -> M:
         config = EncoderConfig.from_dict(header["encoder_config"])
         ids = typed(header, "vocab", dict)
         vocab = Vocabulary({t: typed(ids, t, int) for t in ids})
-        _check_encoder_shapes(path, config, tensors)
-        model = cls.init(config, vocab, **settings)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ModelConfigError(f"{path}: bad checkpoint header: {exc!r}") from exc
-    expected = {name: p.shape for name, p in model.parameters().items()}
     found = {name: t.shape for name, t in tensors.items()}
-    if found != expected:
+    # every block stores tensors, so a deeper config is not listed out; nor does it match an empty file
+    expected = cls.shapes(config) if config.n_layers <= len(found) else {}
+    if not found or found != expected:
         missing = sorted(expected.keys() - found.keys())
         extra = sorted(found.keys() - expected.keys())
         wrong = sorted(n for n in expected.keys() & found.keys() if expected[n] != found[n])
         raise ModelConfigError(
-            f"{path}: tensors do not match the {cls.KIND} model: "
+            f"{path}: tensors do not match the {cls.KIND} model of encoder config {config.to_dict()}: "
             f"missing {missing}, unexpected {extra}, wrong shape {wrong}"
         )
     non_finite = [name for name, t in tensors.items() if not np.isfinite(t).all()]
     if non_finite:
         raise ModelConfigError(f"{path}: non-finite values in tensors {non_finite}")
-    for name, p in model.parameters().items():
-        p[...] = tensors[name]
-    return model
+    groups: dict[str, dict[str, np.ndarray]] = {}
+    for name in expected:
+        prefix, _, key = name.partition(".")
+        groups.setdefault(prefix, {})[key] = tensors[name]
+    try:
+        return cls(config=config, vocab=vocab, enc_params=groups.pop("enc"), **groups, **settings)
+    except ModelConfigError as exc:
+        raise ModelConfigError(f"{path}: {exc}") from None

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import encoder as enc
 from .config import GATE_MODES, RunConfig
-from .corpus import AnnotatedText, Mention, Vocabulary, build_query, update_query
-from .encoder import EncoderConfig, EncoderTape
+from .corpus import AnnotatedText, Mention, build_query, update_query
+from .encoder import EncoderTape
 from .errors import ModelConfigError
 from .kb import NIL, CandidateSet, Entity, KnowledgeBase, build_index
 from .kb import generate_candidates  # noqa: F401  (the perfbench tracer self-test checks this binding)
@@ -23,14 +23,15 @@ from .local import (
     LocalModel,
     MentionLocalResult,
     Model,
+    Shapes,
     StepResult,
     _resolve_gold,
-    check_vocab,
+    draw,
     encode_sets,
     fit,
     head_backward,
+    head_shapes,
     head_softmax,
-    init_head,
     naming_text,
     run_local_pass,
     training_candidates,
@@ -72,15 +73,14 @@ def processing_order(local_results: Sequence[MentionLocalResult], cfg: RunConfig
 # ----------------------------- gated history fusion -----------------------------
 
 
+def gate_shapes(d: int) -> Shapes:
+    """Gate network: update and fusion weights over a concatenation, keep-gate weights."""
+    return {"update_w": (d, 2 * d), "fuse_w": (d, 2 * d), "keep_cur_w": (d, d), "keep_hist_w": (d, d)}
+
+
 def init_gate_params(d: int, seed: int) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(d)
-    return {
-        "update_w": rng.uniform(-bound, bound, (d, 2 * d)),
-        "fuse_w": rng.uniform(-bound, bound, (d, 2 * d)),
-        "keep_cur_w": rng.uniform(-bound, bound, (d, d)),
-        "keep_hist_w": rng.uniform(-bound, bound, (d, d)),
-    }
+    """Fresh gate weights, drawn from a generator seeded with ``seed``."""
+    return draw(gate_shapes(d), np.random.default_rng(seed), d)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -199,33 +199,17 @@ class GlobalModel(Model):
     """Own encoder plus the gate network and global scoring head."""
 
     KIND = "global"
-    GROUPS = {"enc": "enc_params", "gate": "gate", "head": "head"}
+    TABLE = {"gate": (2_000_033, gate_shapes), "head": (2_000_003, head_shapes)}
     SETTINGS = ("gate_mode",)
 
     gate: dict[str, np.ndarray]
     head: dict[str, np.ndarray]
     gate_mode: str = "gated"
 
-    @classmethod
-    def init(
-        cls,
-        config: EncoderConfig,
-        vocab: Vocabulary,
-        gate_mode: str = "gated",
-        enc_params: dict[str, np.ndarray] | None = None,
-    ) -> "GlobalModel":
-        """Fresh gate and head; a fresh encoder too unless ``enc_params`` is given."""
-        check_vocab(config, vocab)
-        if gate_mode not in GATE_MODES:
-            raise ModelConfigError(f"unknown gate mode {gate_mode!r}")
-        return cls(
-            config=config,
-            vocab=vocab,
-            enc_params=enc.init_params(config) if enc_params is None else enc_params,
-            gate=init_gate_params(config.d, config.seed + 2_000_033),
-            head=init_head(np.random.default_rng(config.seed + 2_000_003), config.d),
-            gate_mode=gate_mode,
-        )
+    def __post_init__(self) -> None:
+        if self.gate_mode not in GATE_MODES:
+            raise ModelConfigError(f"unknown gate mode {self.gate_mode!r}")
+        super().__post_init__()
 
     @classmethod
     def from_local(cls, local: LocalModel, max_len: int | None = None, gate_mode: str = "gated") -> "GlobalModel":
@@ -240,7 +224,7 @@ class GlobalModel(Model):
             enc_params["pos_emb"] = np.vstack([enc_params["pos_emb"], extra])
         elif max_len < local.config.max_len:
             enc_params["pos_emb"] = enc_params["pos_emb"][:max_len]
-        return cls.init(config, local.vocab, gate_mode, enc_params)
+        return cls.fresh(config, local.vocab, enc_params, gate_mode=gate_mode)
 
 
 @dataclass

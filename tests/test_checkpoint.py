@@ -12,7 +12,7 @@ from mrclink.encoder import EncoderConfig
 from mrclink.errors import InputFormatError, ModelConfigError
 from mrclink.kb import Entity, KnowledgeBase, save_kb
 from mrclink.corpus import AnnotatedText, Mention, save_corpus
-from mrclink.local import LocalModel, build_vocabulary, load_model, save_model
+from mrclink.local import LocalModel, Model, build_vocabulary, load_model, save_model
 from mrclink.multiturn import GlobalModel
 
 KINDS = {"local": LocalModel, "global": GlobalModel}
@@ -115,6 +115,22 @@ def _float_pad_id(header, tensors):
     header["vocab"]["[PAD]"] = 0.5
 
 
+class _Records(dict):
+    """Tensors that ``save_checkpoint`` writes after one more record, ``first``."""
+
+    def __init__(self, first, tensors):
+        super().__init__(tensors)
+        self.first = first
+
+    def items(self):
+        return [self.first, *super().items()]
+
+
+def _duplicate_head_weight(header, tensors):
+    """A bogus ``head.score_w`` (all 99.0) stored ahead of the real one."""
+    return _Records(("head.score_w", np.full_like(tensors["head.score_w"], 99.0)), tensors)
+
+
 def _nan_head_weight(header, tensors):
     tensors["head.score_w"][0] = np.nan
 
@@ -138,6 +154,7 @@ CORRUPTIONS = MISTYPED + [
     _huge_depth,
     _nan_head_weight,
     _inf_token_embedding,
+    _duplicate_head_weight,
 ]
 
 
@@ -145,10 +162,73 @@ CORRUPTIONS = MISTYPED + [
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_mismatched_checkpoint_rejected(kind, corrupt, tmp_path):
     path, header, tensors = saved(kind, tmp_path)
-    corrupt(header, tensors)
+    tensors = corrupt(header, tensors) or tensors
     enc.save_checkpoint(str(path), header, tensors)
     with pytest.raises(ModelConfigError):
         load_model(str(path), KINDS[kind])
+
+
+def test_duplicated_record_is_named(tmp_path):
+    path, header, tensors = saved("local", tmp_path)
+    enc.save_checkpoint(str(path), header, _duplicate_head_weight(header, tensors))
+    with pytest.raises(ModelConfigError, match="duplicated tensor record 'head.score_w'"):
+        load_model(str(path), LocalModel)
+
+
+@pytest.mark.parametrize(
+    "d,n_layers,setting", [(4, 1, True), (8, 2, False), (6, 3, True)], ids=["d4", "2-layers", "3-layers"]
+)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_shapes_list_a_fresh_models_tensors_in_order(kind, d, n_layers, setting):
+    vocab = build_vocabulary(CORPUS, KB)
+    config = EncoderConfig(vocab_size=len(vocab), max_len=16, d=d, n_layers=n_layers, n_heads=2, seed=3)
+    local = LocalModel.init(config, vocab, nil_verifier=setting)
+    model = local if kind == "local" else GlobalModel.from_local(local, gate_mode="gated" if setting else "concat")
+    assert list(KINDS[kind].shapes(model.config).items()) == [(n, p.shape) for n, p in model.parameters().items()]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_load_draws_nothing(kind, tmp_path, monkeypatch):
+    """Loading builds the model from the stored tensors alone: no initializer
+    and no random generator runs."""
+    path, _, tensors = saved(kind, tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_model drew a tensor")
+
+    monkeypatch.setattr(enc, "init_params", refuse)
+    monkeypatch.setattr(LocalModel, "init", classmethod(refuse))
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    back = load_model(str(path), KINDS[kind])
+    assert list(back.parameters()) == list(tensors)
+    for name, t in back.parameters().items():
+        assert t.tobytes() == tensors[name].tobytes()
+
+
+@pytest.mark.parametrize("kind,name", [("local", "nil.hidden_w"), ("global", "gate.fuse_w")])
+def test_reshaped_group_tensor_refused_before_any_model_is_built(kind, name, tmp_path, monkeypatch):
+    path, header, tensors = saved(kind, tmp_path)
+    tensors[name] = np.zeros((tensors[name].shape[0], tensors[name].shape[1] + 1))
+    enc.save_checkpoint(str(path), header, tensors)
+    built = []
+    post_init = Model.__post_init__
+    monkeypatch.setattr(Model, "__post_init__", lambda self: built.append(self) or post_init(self))
+    with pytest.raises(ModelConfigError, match=f"wrong shape \\['{name}'\\]"):
+        load_model(str(path), KINDS[kind])
+    assert built == []
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_shuffled_records_load_in_table_order(kind, tmp_path):
+    path, header, tensors = saved(kind, tmp_path)
+    names = list(tensors)
+    shuffled = {names[i]: tensors[names[i]] for i in np.random.default_rng(5).permutation(len(names))}
+    assert list(shuffled) != names
+    enc.save_checkpoint(str(path), header, shuffled)
+    back = load_model(str(path), KINDS[kind])
+    assert list(back.parameters()) == names
+    for name, t in back.parameters().items():
+        assert t.tobytes() == tensors[name].tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -200,7 +280,7 @@ def test_link_refuses_oversized_header_before_allocating(corrupt, tmp_path, caps
     ])
     assert rc == 3
     assert time.perf_counter() - start < 1.0
-    assert "does not match the stored embeddings" in capsys.readouterr().err
+    assert "tensors do not match the local model of encoder config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("corrupt", MISTYPED, ids=lambda f: f.__name__.strip("_"))
@@ -228,7 +308,7 @@ def test_wide_header_with_narrow_blocks_rejected_before_allocating(kind, tmp_pat
     enc.save_checkpoint(str(path), header, tensors)
     tracemalloc.start()
     try:
-        with pytest.raises(ModelConfigError, match="does not match the stored embeddings and blocks"):
+        with pytest.raises(ModelConfigError, match=f"tensors do not match the {kind} model of encoder config"):
             load_model(str(path), KINDS[kind])
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -173,6 +173,22 @@ def test_checkpoint_without_head_exits_3(workdir, untrained_local, tmp_path, cap
     assert "head.score_w" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["link", "train-global"])
+def test_checkpoint_with_max_len_below_8_exits_3(command, workdir, untrained_local, tmp_path, capsys):
+    # RunConfig refuses such a max_len, but a header can hold one; its model is refused when built
+    header, tensors = load_checkpoint(str(untrained_local))
+    header["encoder_config"]["max_len"] = 4
+    tensors["enc.pos_emb"] = tensors["enc.pos_emb"][:4]
+    short = tmp_path / "short.ckpt"
+    save_checkpoint(str(short), header, tensors)
+    common = ["--kb", str(workdir / "kb.jsonl"), "--local-model", str(short), "--out", str(tmp_path / "out")]
+    corpus = {"link": workdir / "test.jsonl", "train-global": workdir / "train.jsonl"}[command]
+    assert main([command, *common, "--corpus", str(corpus), "--config", str(workdir / "cfg.json")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {short}: encoder max_len 4 is below 8"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_deeply_nested_checkpoint_header_exits_3(workdir, tmp_path, capsys):
     ckpt = tmp_path / "deep.ckpt"
     ckpt.write_bytes(b"MRCL1\n" + b"[" * 100_000 + b"\n")
